@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative fibers (ucontext-based) for execution-driven simulation.
+ * Cooperative fibers for execution-driven simulation.
  *
  * Each simulated processor runs its application thread on a Fiber; the
  * discrete-event scheduler resumes fibers in simulated-time order. This
@@ -10,6 +10,12 @@
  *
  * Fibers are strictly cooperative and single-OS-thread; there is no
  * preemption and no locking, which keeps simulations deterministic.
+ *
+ * On x86-64 (SysV) a switch saves and restores only what the ABI says
+ * a callee must preserve: rbx, rbp, r12-r15, rsp, MXCSR and the x87
+ * control word. glibc's swapcontext also saves the signal mask, which
+ * costs a system call per switch; fibers never change the mask, so
+ * other architectures keep the ucontext switch only as a fallback.
  */
 
 #ifndef SWSM_FIBER_FIBER_HH
@@ -17,8 +23,12 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
+
+#if defined(__x86_64__) && !defined(_WIN32)
+#define SWSM_FIBER_X86_64 1
+#else
 #include <ucontext.h>
+#endif
 
 namespace swsm
 {
@@ -68,22 +78,38 @@ class Fiber
     static Fiber *current();
 
   private:
-    static void trampoline(unsigned hi, unsigned lo);
-    void run();
+    [[noreturn]] void run();
+    /** Switch from this fiber back to its resumer. */
+    void switchOut();
 
     Body body;
-    std::unique_ptr<char[]> stack;
+    char *stack = nullptr;   ///< mmap'd; pages map in as they are touched
+    std::size_t stackBytes;
+#ifdef SWSM_FIBER_X86_64
+    [[noreturn]] static void entry();
+    void *sp = nullptr;       ///< this fiber's stack pointer while suspended
+    void *returnSp = nullptr; ///< the resumer's, while this fiber runs
+#else
+    static void trampoline(unsigned hi, unsigned lo);
     ucontext_t context;
     ucontext_t returnContext;
+#endif
     /**
      * ThreadSanitizer's shadow context for this fiber and for the
      * resumer we switch back to (TSan fiber API). Null in non-TSan
-     * builds; without these annotations TSan misreads every ucontext
-     * stack switch as one thread racing itself.
+     * builds; without these annotations TSan misreads every stack
+     * switch as one thread racing itself.
      */
     void *tsanFiber = nullptr;
     void *tsanReturnFiber = nullptr;
-    bool started = false;
+    /**
+     * AddressSanitizer's view of the switch: this fiber's fake stack
+     * while it is suspended, and the bounds of the resumer's stack.
+     * Unused outside ASan builds.
+     */
+    void *asanFakeStack = nullptr;
+    const void *asanReturnBottom = nullptr;
+    std::size_t asanReturnSize = 0;
     bool finished_ = false;
     bool running_ = false;
 };

@@ -15,11 +15,16 @@
  * fast path on or off (tests/test_fastpath.cc enforces this).
  *
  * The table is direct-mapped over the protocol's coherence-unit index
- * (page for HLRC/Ideal, block for SC). Protocols install entries on
- * their slow-path hit/fill paths and must invalidate on *every* state
- * transition that could revoke access (invalidate, downgrade, busy
- * directory, ...); a missing install only costs speed, a missing
- * invalidation costs correctness.
+ * (page for HLRC/Ideal, block for SC) and sized by that unit: it covers
+ * at least 256 KiB of address space with at least minSlots slots, so
+ * 64-byte SC blocks get 4096 slots and 4 KiB pages keep 256. The
+ * storage is anonymous mmap'd memory, which reads as zeros until first
+ * written, and the all-zero entry is invalid, so slots that a run never
+ * touches cost neither set-up time nor resident memory. Protocols
+ * install entries on their slow-path hit/fill paths and must
+ * invalidate on *every* state transition that could revoke access
+ * (invalidate, downgrade, busy directory, ...); a missing install only
+ * costs speed, a missing invalidation costs correctness.
  *
  * Header-only and dependent only on sim/types.hh so the protocol
  * layer can include it without linking the machine library.
@@ -28,8 +33,11 @@
 #ifndef SWSM_MACHINE_FAST_PATH_HH
 #define SWSM_MACHINE_FAST_PATH_HH
 
-#include <array>
 #include <cstdint>
+#include <new>
+#include <span>
+
+#include <sys/mman.h>
 
 #include "sim/types.hh"
 
@@ -40,14 +48,19 @@ namespace swsm
 class FastPath
 {
   public:
+    FastPath() = default;
+    ~FastPath() { unmapTable(); }
+    FastPath(const FastPath &) = delete;
+    FastPath &operator=(const FastPath &) = delete;
+
     /**
      * One resolved mapping: addresses in [base, limit) may be
      * accessed directly at data + (addr - base). An empty range
-     * (base > limit) marks the slot invalid.
+     * (base >= limit, e.g. the all-zero entry) marks the slot invalid.
      */
     struct Entry
     {
-        GlobalAddr base = 1;  ///< inclusive; base > limit = invalid
+        GlobalAddr base = 0;  ///< inclusive; base >= limit = invalid
         GlobalAddr limit = 0; ///< exclusive
         std::uint8_t *data = nullptr; ///< host bytes backing the range
         /** Per-page dirty-chunk bitmap to mark on writes (HLRC
@@ -57,11 +70,25 @@ class FastPath
         bool writable = false;
     };
 
-    static constexpr std::uint32_t logSlots = 8;
-    static constexpr std::size_t numSlots = std::size_t{1} << logSlots;
+    /** Fewest slots a configured table has. */
+    static constexpr std::size_t minSlots = 256;
+    /** Address span the table covers at least (256 KiB). */
+    static constexpr std::uint32_t logCoverBytes = 18;
+
+    /** Slot count for a coherence unit of 2^@p index_shift bytes. */
+    static constexpr std::size_t
+    slotsFor(std::uint32_t index_shift)
+    {
+        const std::size_t cover =
+            index_shift < logCoverBytes
+                ? std::size_t{1} << (logCoverBytes - index_shift)
+                : 1;
+        return cover > minSlots ? cover : minSlots;
+    }
 
     /**
-     * Bind the table to a protocol's geometry.
+     * Bind the table to a protocol's geometry, allocating a fresh
+     * (all-invalid) table of slotsFor(@p index_shift) slots.
      * @param index_shift log2 of the coherence unit (slot index bits)
      * @param copy_first  true if the protocol's slow path copies bytes
      *        before charging (SC, Ideal); false if it charges first
@@ -70,10 +97,23 @@ class FastPath
     void
     configure(std::uint32_t index_shift, bool copy_first)
     {
+        const std::size_t n = slotsFor(index_shift);
+        // mmap rather than calloc: malloc recycles freed heap memory
+        // for large blocks too, and calloc then zeroes (touches) it all.
+        void *p = mmap(nullptr, n * sizeof(Entry), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        unmapTable();
+        slots_ = static_cast<Entry *>(p);
+        mask_ = n - 1;
         indexShift_ = index_shift;
         copyFirst_ = copy_first;
-        invalidateAll();
     }
+
+    /** Slots in the table; 1 (an inline slot) until configure(), so
+     *  lookups on a table no protocol configured just miss. */
+    std::size_t numSlots() const { return mask_ + 1; }
 
     bool copyFirst() const { return copyFirst_; }
     std::uint32_t indexShift() const { return indexShift_; }
@@ -126,7 +166,7 @@ class FastPath
     installGlobal(GlobalAddr base, GlobalAddr limit, std::uint8_t *data,
                   bool writable)
     {
-        for (Entry &e : slots_) {
+        for (Entry &e : slots()) {
             e.base = base;
             e.limit = limit;
             e.data = data;
@@ -137,29 +177,35 @@ class FastPath
         ++installs_;
     }
 
-    /** Drop every entry overlapping [base, limit). */
+    /**
+     * Drop every entry overlapping [base, limit). install() places an
+     * entry in its own unit's slot, so only the slots of the units the
+     * range covers are visited (every slot once if it covers more
+     * units than the table has slots). An installGlobal() entry is
+     * dropped from those slots only; invalidateAll() drops it
+     * everywhere.
+     */
     void
     invalidateRange(GlobalAddr base, GlobalAddr limit)
     {
-        // One coherence unit maps to one slot; hit it directly and
-        // fall back to a sweep only for multi-slot ranges.
-        if (limit - base <= (GlobalAddr{1} << indexShift_)) {
-            Entry &e = slots_[slotOf(base)];
-            if (e.base < limit && base < e.limit)
-                reset(e);
+        if (limit <= base)
             return;
-        }
-        for (Entry &e : slots_) {
+        const GlobalAddr first = base >> indexShift_;
+        const GlobalAddr units = ((limit - 1) >> indexShift_) - first + 1;
+        const std::size_t visit =
+            units <= mask_ ? static_cast<std::size_t>(units) : mask_ + 1;
+        for (std::size_t i = 0; i < visit; ++i) {
+            Entry &e = slots_[(first + i) & mask_];
             if (e.base < limit && base < e.limit)
                 reset(e);
         }
     }
 
-    /** Drop every entry. */
+    /** Drop every entry (writes only the valid ones). */
     void
     invalidateAll()
     {
-        for (Entry &e : slots_)
+        for (Entry &e : slots())
             reset(e);
     }
 
@@ -182,25 +228,35 @@ class FastPath
     std::uint64_t invalidations() const { return invalidations_; }
 
   private:
+    void
+    unmapTable()
+    {
+        if (slots_ != &inline_)
+            munmap(slots_, (mask_ + 1) * sizeof(Entry));
+    }
+
+    std::span<Entry> slots() { return {slots_, mask_ + 1}; }
+
     std::size_t
     slotOf(GlobalAddr addr) const
     {
-        return (addr >> indexShift_) & (numSlots - 1);
+        return (addr >> indexShift_) & mask_;
     }
 
+    /** Invalidate @p e; an already-invalid slot is left unwritten so
+     *  never-touched table pages stay unmapped. */
     void
     reset(Entry &e)
     {
-        if (e.base < e.limit)
-            ++invalidations_;
-        e.base = 1;
-        e.limit = 0;
-        e.data = nullptr;
-        e.dirtyMask = nullptr;
-        e.writable = false;
+        if (e.base >= e.limit)
+            return;
+        ++invalidations_;
+        e = Entry{};
     }
 
-    std::array<Entry, numSlots> slots_{};
+    Entry inline_{};              ///< the whole table until configure()
+    Entry *slots_ = &inline_;     ///< or configure()'s mapping
+    std::size_t mask_ = 0;        ///< slot count - 1
     std::uint32_t indexShift_ = 12;
     bool copyFirst_ = false;
     std::uint64_t hits_ = 0;

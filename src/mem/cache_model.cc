@@ -1,50 +1,41 @@
 #include "cache_model.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/log.hh"
 
 namespace swsm
 {
-
-namespace
-{
-
-bool
-isPow2(std::uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-} // namespace
 
 void
 CacheModel::Level::init(std::uint32_t bytes, std::uint32_t assoc_,
                         std::uint32_t line_bytes)
 {
     assoc = assoc_;
-    numSets = bytes / (line_bytes * assoc_);
-    if (numSets == 0 || !isPow2(numSets))
+    const std::uint32_t num_sets = bytes / (line_bytes * assoc_);
+    if (!std::has_single_bit(num_sets))
         SWSM_FATAL("cache level needs a power-of-two number of sets");
-    tags.assign(static_cast<std::size_t>(numSets) * assoc, 0);
-    stamps.assign(static_cast<std::size_t>(numSets) * assoc, 0);
+    setMask = num_sets - 1;
+    ways.assign(static_cast<std::size_t>(num_sets) * assoc, Way{});
 }
 
 bool
 CacheModel::Level::lookupInsert(std::uint64_t line, std::uint64_t stamp)
 {
     const std::uint64_t tag = line + 1;
-    const std::size_t base =
-        static_cast<std::size_t>(line & (numSets - 1)) * assoc;
-    std::size_t victim = base;
-    for (std::size_t way = base; way < base + assoc; ++way) {
-        if (tags[way] == tag) {
-            stamps[way] = stamp;
+    Way *const set = &ways[static_cast<std::size_t>(line & setMask) * assoc];
+    Way *victim = set;
+    for (Way *w = set; w != set + assoc; ++w) {
+        if (w->tag == tag) {
+            w->stamp = stamp;
             return true;
         }
-        if (stamps[way] < stamps[victim])
-            victim = way;
+        if (w->stamp < victim->stamp)
+            victim = w;
     }
-    tags[victim] = tag;
-    stamps[victim] = stamp;
+    victim->tag = tag;
+    victim->stamp = stamp;
     return false;
 }
 
@@ -52,36 +43,32 @@ void
 CacheModel::Level::invalidate(std::uint64_t line)
 {
     const std::uint64_t tag = line + 1;
-    const std::size_t base =
-        static_cast<std::size_t>(line & (numSets - 1)) * assoc;
-    for (std::size_t way = base; way < base + assoc; ++way) {
-        if (tags[way] == tag) {
-            tags[way] = 0;
-            stamps[way] = 0;
-        }
+    Way *const set = &ways[static_cast<std::size_t>(line & setMask) * assoc];
+    for (Way *w = set; w != set + assoc; ++w) {
+        if (w->tag == tag)
+            *w = Way{};
     }
 }
 
 void
 CacheModel::Level::clear()
 {
-    std::fill(tags.begin(), tags.end(), 0);
-    std::fill(stamps.begin(), stamps.end(), 0);
+    std::fill(ways.begin(), ways.end(), Way{});
 }
 
 CacheModel::CacheModel(const MemoryParams &params) : params(params)
 {
-    if (!isPow2(params.lineBytes))
+    if (!std::has_single_bit(params.lineBytes))
         SWSM_FATAL("cache line size must be a power of two");
+    lineShift = static_cast<std::uint32_t>(std::countr_zero(params.lineBytes));
     l1.init(params.l1Bytes, params.l1Assoc, params.lineBytes);
     l2.init(params.l2Bytes, params.l2Assoc, params.lineBytes);
 }
 
 Cycles
-CacheModel::access(GlobalAddr addr, bool write)
+CacheModel::lookupLine(std::uint64_t line)
 {
-    (void)write; // Allocate-on-write; no extra write penalty modeled.
-    const std::uint64_t line = addr / params.lineBytes;
+    lastLine = line;
     ++stamp;
     if (l1.lookupInsert(line, stamp)) {
         l1Hits_.inc();
@@ -99,13 +86,14 @@ CacheModel::access(GlobalAddr addr, bool write)
 Cycles
 CacheModel::accessRange(GlobalAddr addr, std::uint64_t bytes, bool write)
 {
+    (void)write;
     if (bytes == 0)
         return 0;
     Cycles total = 0;
-    const std::uint64_t first = addr / params.lineBytes;
-    const std::uint64_t last = (addr + bytes - 1) / params.lineBytes;
+    const std::uint64_t first = addr >> lineShift;
+    const std::uint64_t last = (addr + bytes - 1) >> lineShift;
     for (std::uint64_t line = first; line <= last; ++line)
-        total += access(line * params.lineBytes, write);
+        total += accessLine(line);
     return total;
 }
 
@@ -114,8 +102,9 @@ CacheModel::invalidateRange(GlobalAddr addr, std::uint64_t bytes)
 {
     if (bytes == 0)
         return;
-    const std::uint64_t first = addr / params.lineBytes;
-    const std::uint64_t last = (addr + bytes - 1) / params.lineBytes;
+    lastLine = noLine;
+    const std::uint64_t first = addr >> lineShift;
+    const std::uint64_t last = (addr + bytes - 1) >> lineShift;
     for (std::uint64_t line = first; line <= last; ++line) {
         l1.invalidate(line);
         l2.invalidate(line);
@@ -125,6 +114,7 @@ CacheModel::invalidateRange(GlobalAddr addr, std::uint64_t bytes)
 void
 CacheModel::reset()
 {
+    lastLine = noLine;
     l1.clear();
     l2.clear();
 }

@@ -11,6 +11,14 @@
  * Simplifications (documented in DESIGN.md): write-allocate with no extra
  * dirty-writeback penalty; no MSHR-level concurrency (the modeled
  * processor is in-order single-issue, so misses serialize anyway).
+ *
+ * Host layout: each set's ways keep {tag, stamp} side by side, and the
+ * array is 64-byte aligned, so with a power-of-two associativity a set
+ * of up to four ways sits in one host cache line. A repeat of the
+ * previous access's line is answered without a tag walk: that line is
+ * already its L1 set's most recent way, so refreshing its stamp could
+ * not change any LRU decision, and the hit is counted without touching
+ * the arrays.
  */
 
 #ifndef SWSM_MEM_CACHE_MODEL_HH
@@ -19,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mem/aligned.hh"
 #include "mem/memory_params.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -36,7 +45,12 @@ class CacheModel
      * Simulate one reference to @p addr.
      * @return stall cycles beyond the issue cycle (0 on an L1 hit).
      */
-    Cycles access(GlobalAddr addr, bool write);
+    Cycles
+    access(GlobalAddr addr, bool write)
+    {
+        (void)write; // Allocate-on-write; no extra write penalty modeled.
+        return accessLine(addr >> lineShift);
+    }
 
     /**
      * Simulate a sequential walk over [addr, addr+bytes), one reference
@@ -60,28 +74,53 @@ class CacheModel
     const Counter &l2Misses() const { return l2Misses_; }
 
   private:
+    /** One way of a set: tag 0 means empty (tags are line+1). */
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0; ///< LRU stamp of the last touch
+    };
+
     /** One tag array level. */
     struct Level
     {
-        std::uint32_t numSets = 0;
+        std::uint64_t setMask = 0;
         std::uint32_t assoc = 0;
-        /** tags[set * assoc + way]; 0 means empty (tags are line+1). */
-        std::vector<std::uint64_t> tags;
-        /** LRU stamps parallel to tags. */
-        std::vector<std::uint64_t> stamps;
+        /** ways[set * assoc + way], 64-byte aligned. */
+        std::vector<Way, AlignedAlloc<Way, 64>> ways;
 
         void init(std::uint32_t bytes, std::uint32_t assoc_,
                   std::uint32_t line_bytes);
+
         /** @return true on hit; inserts on miss. */
         bool lookupInsert(std::uint64_t line, std::uint64_t stamp);
         void invalidate(std::uint64_t line);
         void clear();
     };
 
+    /** No line: the same-line shortcut is off. */
+    static constexpr std::uint64_t noLine = ~std::uint64_t{0};
+
+    Cycles
+    accessLine(std::uint64_t line)
+    {
+        if (line == lastLine) {
+            l1Hits_.inc();
+            return 0;
+        }
+        return lookupLine(line);
+    }
+
+    /** The full two-level lookup; records @p line as the last one. */
+    Cycles lookupLine(std::uint64_t line);
+
     MemoryParams params;
+    std::uint32_t lineShift = 0;
     Level l1;
     Level l2;
     std::uint64_t stamp = 0;
+    /** Line of the previous access, or noLine. */
+    std::uint64_t lastLine = noLine;
 
     Counter l1Hits_;
     Counter l1Misses_;

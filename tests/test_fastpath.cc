@@ -67,12 +67,85 @@ TEST(FastPath, SlotCollisionEvicts)
     FastPath fp;
     fp.configure(12, false);
     std::uint8_t a[4096] = {}, b[4096] = {};
-    // Pages 0 and numSlots map to the same direct-mapped slot.
-    const GlobalAddr second = FastPath::numSlots * GlobalAddr{4096};
+    // Pages 0 and numSlots() map to the same direct-mapped slot.
+    const GlobalAddr second = fp.numSlots() * GlobalAddr{4096};
     fp.install(0, 4096, a, false);
     fp.install(second, second + 4096, b, false);
     EXPECT_EQ(fp.lookup(0, 4, false), nullptr);
     EXPECT_NE(fp.lookup(second, 4, false), nullptr);
+}
+
+TEST(FastPath, TableSizedByCoherenceUnit)
+{
+    // At least 256 KiB of address space, and never fewer than 256
+    // slots: 64-byte SC blocks get 4096, 4 KiB pages keep 256.
+    FastPath blocks, pages, small;
+    blocks.configure(6, true);
+    pages.configure(12, false);
+    small.configure(5, true);
+    EXPECT_EQ(blocks.numSlots(), 4096u);
+    EXPECT_EQ(pages.numSlots(), 256u);
+    EXPECT_EQ(small.numSlots(), 8192u);
+    EXPECT_EQ(FastPath::slotsFor(10), 256u);
+    EXPECT_EQ(FastPath::slotsFor(20), 256u);
+
+    // Addresses 256 KiB apart collide; nearer distinct blocks do not.
+    std::uint8_t x[64] = {}, y[64] = {}, z[64] = {};
+    blocks.install(0, 64, x, false);
+    blocks.install(255 * 1024, 255 * 1024 + 64, y, false);
+    EXPECT_NE(blocks.lookup(0, 4, false), nullptr);
+    EXPECT_NE(blocks.lookup(255 * 1024, 4, false), nullptr);
+    blocks.install(256 * 1024, 256 * 1024 + 64, z, false);
+    EXPECT_EQ(blocks.lookup(0, 4, false), nullptr);
+}
+
+TEST(FastPath, AllZeroEntriesMiss)
+{
+    // A fresh table is all zero bytes: base = limit = 0 is an empty
+    // range, so every address misses, address 0 included, and
+    // invalidating untouched slots counts nothing.
+    FastPath fp;
+    fp.configure(6, true);
+    for (GlobalAddr a : {GlobalAddr{0}, GlobalAddr{1}, GlobalAddr{63},
+                         GlobalAddr{4096}, GlobalAddr{1} << 40}) {
+        EXPECT_EQ(fp.lookup(a, 1, false), nullptr) << a;
+        EXPECT_EQ(fp.lookup(a, 8, true), nullptr) << a;
+    }
+    EXPECT_EQ(fp.hits(), 0u);
+    fp.invalidateAll();
+    fp.invalidateRange(0, GlobalAddr{1} << 30);
+    EXPECT_EQ(fp.invalidations(), 0u);
+
+    // So does a table no protocol configured.
+    FastPath unconfigured;
+    EXPECT_EQ(unconfigured.numSlots(), 1u);
+    EXPECT_EQ(unconfigured.lookup(0, 4, false), nullptr);
+    EXPECT_EQ(unconfigured.misses(), 1u);
+}
+
+TEST(FastPath, MultiUnitInvalidationDropsExactlyCoveredEntries)
+{
+    FastPath fp;
+    fp.configure(6, true);
+    std::vector<std::uint8_t> mem(64 * 64);
+    // Blocks 0..63 installed; drop blocks 10..19 via a range that
+    // starts and ends mid-block.
+    for (GlobalAddr b = 0; b < 64; ++b)
+        fp.install(b * 64, b * 64 + 64, mem.data() + b * 64, true);
+    fp.invalidateRange(10 * 64 + 5, 19 * 64 + 1);
+    EXPECT_EQ(fp.invalidations(), 10u);
+    for (GlobalAddr b = 0; b < 64; ++b) {
+        const bool dropped = b >= 10 && b <= 19;
+        EXPECT_EQ(fp.lookup(b * 64, 4, false) == nullptr, dropped) << b;
+    }
+
+    // A range wider than the table visits each slot once and drops
+    // every entry it overlaps, wherever the walk starts.
+    fp.invalidateRange(3 * 64, 3 * 64 + 2 * 4096 * 64);
+    EXPECT_EQ(fp.invalidations(), 10u + 51u);
+    EXPECT_NE(fp.lookup(0, 4, false), nullptr);
+    EXPECT_NE(fp.lookup(2 * 64, 4, false), nullptr);
+    EXPECT_EQ(fp.lookup(3 * 64, 4, false), nullptr);
 }
 
 TEST(FastPath, InvalidateRangeDropsOverlappingEntries)

@@ -145,6 +145,16 @@ struct MonotonicityCase
 };
 
 /**
+ * Without a printer, gtest shows the raw bytes of the case, which embed
+ * the address of the app-name literal and so change from run to run.
+ */
+void
+PrintTo(const MonotonicityCase &c, std::ostream *os)
+{
+    *os << c.app << "/" << protocolKindName(c.kind);
+}
+
+/**
  * Property: for a fixed deterministic application, layer costs order
  * execution time — worse communication is never faster than the base,
  * and the base is never faster than best communication.

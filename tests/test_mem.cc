@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache_model.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 
 namespace swsm
 {
@@ -134,6 +138,241 @@ TEST(CacheModel, StreamFitsInL2ButNotL1)
     // itself keeps evicting ahead of reuse).
     c.accessRange(0, 4096, true);
     EXPECT_EQ(c.accessRange(0, 4096, false), 128 * p.l2HitCycles);
+}
+
+// ------------------------------------------------------ Oracle model
+
+/**
+ * The original CacheModel, kept verbatim as the reference: a 64-bit
+ * divide per access, separate tag and stamp arrays, and a stamp bump
+ * on every access. The production model must return the same stall
+ * for every access and end with the same four counters.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const MemoryParams &params) : params(params)
+    {
+        l1.init(params.l1Bytes, params.l1Assoc, params.lineBytes);
+        l2.init(params.l2Bytes, params.l2Assoc, params.lineBytes);
+    }
+
+    Cycles
+    access(GlobalAddr addr, bool write)
+    {
+        (void)write;
+        const std::uint64_t line = addr / params.lineBytes;
+        ++stamp;
+        if (l1.lookupInsert(line, stamp)) {
+            l1Hits.inc();
+            return 0;
+        }
+        l1Misses.inc();
+        if (l2.lookupInsert(line, stamp)) {
+            l2Hits.inc();
+            return params.l2HitCycles;
+        }
+        l2Misses.inc();
+        return params.memCycles;
+    }
+
+    Cycles
+    accessRange(GlobalAddr addr, std::uint64_t bytes, bool write)
+    {
+        if (bytes == 0)
+            return 0;
+        Cycles total = 0;
+        const std::uint64_t first = addr / params.lineBytes;
+        const std::uint64_t last = (addr + bytes - 1) / params.lineBytes;
+        for (std::uint64_t line = first; line <= last; ++line)
+            total += access(line * params.lineBytes, write);
+        return total;
+    }
+
+    void
+    invalidateRange(GlobalAddr addr, std::uint64_t bytes)
+    {
+        if (bytes == 0)
+            return;
+        const std::uint64_t first = addr / params.lineBytes;
+        const std::uint64_t last = (addr + bytes - 1) / params.lineBytes;
+        for (std::uint64_t line = first; line <= last; ++line) {
+            l1.invalidate(line);
+            l2.invalidate(line);
+        }
+    }
+
+    void
+    reset()
+    {
+        l1.clear();
+        l2.clear();
+    }
+
+    Counter l1Hits, l1Misses, l2Hits, l2Misses;
+
+  private:
+    struct Level
+    {
+        std::uint32_t numSets = 0;
+        std::uint32_t assoc = 0;
+        std::vector<std::uint64_t> tags;
+        std::vector<std::uint64_t> stamps;
+
+        void
+        init(std::uint32_t bytes, std::uint32_t assoc_,
+             std::uint32_t line_bytes)
+        {
+            assoc = assoc_;
+            numSets = bytes / (line_bytes * assoc_);
+            tags.assign(static_cast<std::size_t>(numSets) * assoc, 0);
+            stamps.assign(static_cast<std::size_t>(numSets) * assoc, 0);
+        }
+
+        bool
+        lookupInsert(std::uint64_t line, std::uint64_t stamp)
+        {
+            const std::uint64_t tag = line + 1;
+            const std::size_t base =
+                static_cast<std::size_t>(line & (numSets - 1)) * assoc;
+            std::size_t victim = base;
+            for (std::size_t way = base; way < base + assoc; ++way) {
+                if (tags[way] == tag) {
+                    stamps[way] = stamp;
+                    return true;
+                }
+                if (stamps[way] < stamps[victim])
+                    victim = way;
+            }
+            tags[victim] = tag;
+            stamps[victim] = stamp;
+            return false;
+        }
+
+        void
+        invalidate(std::uint64_t line)
+        {
+            const std::uint64_t tag = line + 1;
+            const std::size_t base =
+                static_cast<std::size_t>(line & (numSets - 1)) * assoc;
+            for (std::size_t way = base; way < base + assoc; ++way) {
+                if (tags[way] == tag) {
+                    tags[way] = 0;
+                    stamps[way] = 0;
+                }
+            }
+        }
+
+        void
+        clear()
+        {
+            std::fill(tags.begin(), tags.end(), 0);
+            std::fill(stamps.begin(), stamps.end(), 0);
+        }
+    };
+
+    MemoryParams params;
+    Level l1;
+    Level l2;
+    std::uint64_t stamp = 0;
+};
+
+/**
+ * Drive both models with one seeded stream mixing same-line repeats,
+ * strides, random lines, range walks, invalidations and resets, and
+ * require identical stalls and counters throughout.
+ */
+void
+expectMatchesReference(const MemoryParams &p, std::uint64_t seed,
+                       int steps)
+{
+    CacheModel model(p);
+    ReferenceCache ref(p);
+    Rng rng(seed);
+    // A footprint of 4x L2 keeps all three outcomes common.
+    const std::uint64_t span = 4ull * p.l2Bytes;
+    GlobalAddr cursor = 0;
+    for (int i = 0; i < steps; ++i) {
+        const std::uint64_t pick = rng.nextBounded(100);
+        const bool write = rng.nextBounded(2) == 1;
+        Cycles got = 0, want = 0;
+        if (pick < 30) {
+            // Same line again (or a neighbouring byte of it).
+            cursor += rng.nextBounded(p.lineBytes / 2 + 1);
+            got = model.access(cursor, write);
+            want = ref.access(cursor, write);
+        } else if (pick < 55) {
+            // Strided walk: word, line, set and L1-way strides.
+            static const std::uint64_t strides[] = {8, 32, 64, 512,
+                                                    4096, 8192};
+            cursor = (cursor + strides[rng.nextBounded(6)]) % span;
+            got = model.access(cursor, write);
+            want = ref.access(cursor, write);
+        } else if (pick < 80) {
+            cursor = rng.nextBounded(span);
+            got = model.access(cursor, write);
+            want = ref.access(cursor, write);
+        } else if (pick < 92) {
+            const GlobalAddr a = rng.nextBounded(span);
+            const std::uint64_t bytes = rng.nextBounded(3 * 4096);
+            got = model.accessRange(a, bytes, write);
+            want = ref.accessRange(a, bytes, write);
+            cursor = a;
+        } else if (pick < 99) {
+            // Often the line just touched, so the repeat shortcut must
+            // notice the invalidation.
+            const GlobalAddr a =
+                rng.nextBounded(2) ? cursor : rng.nextBounded(span);
+            const std::uint64_t bytes = rng.nextBounded(2 * 4096);
+            model.invalidateRange(a, bytes);
+            ref.invalidateRange(a, bytes);
+        } else {
+            model.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(got, want) << "step " << i << " seed " << seed;
+    }
+    EXPECT_EQ(model.l1Hits().value(), ref.l1Hits.value());
+    EXPECT_EQ(model.l1Misses().value(), ref.l1Misses.value());
+    EXPECT_EQ(model.l2Hits().value(), ref.l2Hits.value());
+    EXPECT_EQ(model.l2Misses().value(), ref.l2Misses.value());
+    // The stream must exercise every outcome to mean anything.
+    EXPECT_GT(ref.l1Hits.value(), 0u);
+    EXPECT_GT(ref.l2Hits.value(), 0u);
+    EXPECT_GT(ref.l2Misses.value(), 0u);
+}
+
+TEST(CacheModelOracle, MatchesReferenceOnDefaultGeometry)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        expectMatchesReference(MemoryParams{}, seed, 200000);
+}
+
+TEST(CacheModelOracle, MatchesReferenceOnSmallGeometries)
+{
+    MemoryParams direct = smallParams();
+    direct.l1Assoc = 1; // direct-mapped L1
+    direct.l2Assoc = 8; // two host lines per L2 set
+    for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+        expectMatchesReference(smallParams(), seed, 100000);
+        expectMatchesReference(direct, seed, 100000);
+    }
+}
+
+TEST(CacheModelOracle, RepeatedLineDoesNotDisturbLru)
+{
+    // Line 0 repeated many times between two conflicting lines must
+    // still be the most recent way, exactly as in the reference.
+    const MemoryParams p = smallParams();
+    CacheModel c(p);
+    const std::uint64_t s = p.l1Bytes / p.l1Assoc;
+    c.access(s, false);
+    for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(c.access(0, i & 1), i == 0 ? p.memCycles : Cycles{0});
+    c.access(2 * s, false); // evicts s, the LRU way
+    EXPECT_EQ(c.access(0, false), 0u);
+    EXPECT_EQ(c.access(s, false), p.l2HitCycles);
+    EXPECT_EQ(c.l1Hits().value(), 10u);
 }
 
 } // namespace
