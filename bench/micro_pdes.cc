@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel event-kernel benchmark (host wall-clock, not simulated
- * cycles). Three sections:
+ * cycles). Two sections:
  *
  * Apps: runs 16-node Figure 3 configurations (HLRC, comm set A,
  * protocol cost set O) serially and with --sim-threads={2,4}, each
@@ -21,17 +21,6 @@
  * per-destination cell must run strictly fewer, wider windows than
  * the global-minimum cell — on any host, including single-core CI.
  *
- * Optimism: the machine-level speculation A/B on the same islands
- * geometry. Conservative per-destination windows (optimism 0) vs
- * bounded-optimism speculation (optimism 8) backed by the
- * MachineStateSaver (machine/pdes_saver.hh): the tiny intra-island
- * hop bounds same-island partitions to narrow windows, which
- * speculation runs past. The section always asserts the mechanism
- * (the speculative cell speculates and resolves, the conservative
- * one does not) and emits pdesSpeculated/pdesRollbacks/pdesCommits
- * per cell; with --check-speedup the speculative cell is gated at
- * max(X, 2.0) vs serial, core-count-gated like the other sections.
- *
  * The benchmark *asserts* what the equivalence suite tests: every rep
  * of every cell must produce bit-identical simulated results (total
  * cycles, per-node finish times, every counter outside the
@@ -49,8 +38,7 @@
  * are {"min", "median"} objects, which tools/bench_diff.py
  * understands. Each run entry carries the deterministic window-shape
  * counters (pdesWindows, pdesWindowWidened — compared by
- * bench_diff.py) and the speculation telemetry (pdesSpeculated,
- * pdesRollbacks — ignored, like the sim.pdes_* metrics).
+ * bench_diff.py).
  */
 
 #include <algorithm>
@@ -88,7 +76,6 @@ hostDependent(const std::string &name)
 {
     return name.rfind("sim.pdes_", 0) == 0 ||
            name.rfind("machine.fastpath_", 0) == 0 ||
-           name.rfind("machine.saver_", 0) == 0 ||
            name == "sim.max_pending_events";
 }
 
@@ -115,14 +102,11 @@ counterOf(const ExperimentResult &r, const std::string &name)
     return 0;
 }
 
-/** The deterministic and speculative parallel-kernel shape counters. */
+/** The deterministic parallel-kernel shape counters. */
 struct WindowStats
 {
     std::uint64_t windows = 0;
     std::uint64_t widened = 0;
-    std::uint64_t speculated = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t commits = 0;
 };
 
 WindowStats
@@ -131,9 +115,6 @@ windowStatsOf(const ExperimentResult &r)
     WindowStats w;
     w.windows = counterOf(r, "sim.pdes_windows");
     w.widened = counterOf(r, "sim.pdes_window_widened");
-    w.speculated = counterOf(r, "sim.pdes_speculated");
-    w.rollbacks = counterOf(r, "sim.pdes_rollbacks");
-    w.commits = counterOf(r, "sim.pdes_commits");
     return w;
 }
 
@@ -156,7 +137,6 @@ struct Cell
 {
     int threads = 1;
     std::string policy = "perdest";
-    int optimism = 0;
     std::vector<double> seconds;
     Signature sig;
     WindowStats windows;
@@ -220,7 +200,6 @@ runCell(const WorkloadFactory &factory, SizeClass size,
     Cell cell;
     cell.threads = mp.simThreads;
     cell.policy = mp.pdesPerDest ? "perdest" : "globalmin";
-    cell.optimism = mp.pdesOptimism;
     for (int rep = 0; rep < reps; ++rep) {
         const ExperimentResult r =
             runExperiment(factory, size, mp, config_name, 0);
@@ -251,18 +230,13 @@ writeCellJson(JsonWriter &w, const std::string &section,
     w.member("protocol", "HLRC");
     w.member("simThreads", cell.threads);
     w.member("windowPolicy", cell.policy);
-    w.member("optimism", cell.optimism);
     w.member("simulatedCycles",
              static_cast<std::uint64_t>(cell.sig.total));
     w.member("equivalent", cell.sig == serial.sig);
     // Deterministic window shape (simulation state only): compared by
-    // tools/bench_diff.py. Speculation telemetry is policy bookkeeping
-    // and ignored there, like the sim.pdes_* metrics.
+    // tools/bench_diff.py.
     w.member("pdesWindows", cell.windows.windows);
     w.member("pdesWindowWidened", cell.windows.widened);
-    w.member("pdesSpeculated", cell.windows.speculated);
-    w.member("pdesRollbacks", cell.windows.rollbacks);
-    w.member("pdesCommits", cell.windows.commits);
     w.key("hostSeconds");
     w.beginObject();
     w.member("min", minOf(cell.seconds));
@@ -308,10 +282,8 @@ main(int argc, char **argv)
             config.protoSet = 'O';
             config.numProcs = o.procs;
             config.simThreads = threads;
-            MachineParams mp = config.machineParams();
-            mp.pdesOptimism = 0; // pinned; the optimism section A/Bs it
             cells.push_back(runCell(
-                app.factory, size, mp, config.name(),
+                app.factory, size, config.machineParams(), config.name(),
                 name + " with " + std::to_string(threads) +
                     " sim threads",
                 o.reps, ok));
@@ -377,7 +349,6 @@ main(int argc, char **argv)
         base.numProcs = 16;
         MachineParams mp = base.machineParams();
         mp.comm = mp.comm.withIslands(8, 20000, 1.0);
-        mp.pdesOptimism = 0; // pinned; the optimism section A/Bs it
         const std::string config_name = "XO+isl8";
 
         struct Spec
@@ -472,134 +443,6 @@ main(int argc, char **argv)
             std::printf("  (islands speedup check skipped: host has %u "
                         "cores for %d workers)\n",
                         hw, island_threads);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Optimism A/B: conservative windows vs bounded-optimism
-    // speculation backed by the machine-level state saver
-    // (machine/pdes_saver.hh), on the same islanded X-corner geometry.
-    // The ~1-cycle intra-island hop keeps the two partitions inside
-    // each island bounding each other to tiny windows even under the
-    // per-destination matrix; optimism lets a partition checkpoint and
-    // run past that bound, committing when no straggler materializes.
-    {
-        const std::string app_name = "radix";
-        const int spec_threads = 4;
-        const int optimism = 8;
-        const AppInfo &app = findApp(app_name);
-        ExperimentConfig base;
-        base.protocol = ProtocolKind::Hlrc;
-        base.commSet = 'X';
-        base.protoSet = 'O';
-        base.numProcs = 16;
-        MachineParams mp = base.machineParams();
-        mp.comm = mp.comm.withIslands(8, 20000, 1.0);
-        mp.pdesPerDest = true;
-        const std::string config_name = "XO+isl8";
-
-        struct Spec
-        {
-            int threads;
-            int optimism;
-        };
-        const Spec specs[] = {
-            {1, 0}, {spec_threads, 0}, {spec_threads, optimism}};
-        std::vector<Cell> cells;
-        for (const Spec &spec : specs) {
-            mp.simThreads = spec.threads;
-            mp.pdesOptimism = spec.optimism;
-            cells.push_back(runCell(
-                app.factory, size, mp, config_name,
-                app_name + " (" + config_name + ") with " +
-                    std::to_string(spec.threads) +
-                    " sim threads, optimism " +
-                    std::to_string(spec.optimism),
-                o.reps, ok));
-        }
-
-        const Cell &serial = cells[0];
-        const Cell &conservative = cells[1];
-        const Cell &speculative = cells[2];
-        const double serial_min = minOf(serial.seconds);
-        for (const Cell &cell : cells) {
-            if (cell.sig != serial.sig) {
-                std::fprintf(stderr,
-                             "FAIL: %s (%s) with %d sim threads and "
-                             "optimism %d diverges from the serial "
-                             "kernel\n",
-                             app_name.c_str(), config_name.c_str(),
-                             cell.threads, cell.optimism);
-                ok = false;
-            }
-            const double best = minOf(cell.seconds);
-            const double speedup = best > 0 ? serial_min / best : 0.0;
-            std::printf("%-14s opt=%-6d %8d %10.3f %10.3f %8.2fx\n",
-                        (app_name + "/" + config_name).c_str(),
-                        cell.optimism, cell.threads, best,
-                        medianOf(cell.seconds), speedup);
-            writeCellJson(w, "optimism", app_name, config_name, cell,
-                          serial, speedup);
-        }
-        std::printf("  speculation: %llu episodes, %llu commits, %llu "
-                    "rollbacks (conservative windows %llu, "
-                    "speculative windows %llu)\n",
-                    static_cast<unsigned long long>(
-                        speculative.windows.speculated),
-                    static_cast<unsigned long long>(
-                        speculative.windows.commits),
-                    static_cast<unsigned long long>(
-                        speculative.windows.rollbacks),
-                    static_cast<unsigned long long>(
-                        conservative.windows.windows),
-                    static_cast<unsigned long long>(
-                        speculative.windows.windows));
-
-        // Mechanism gates, deterministic on any host: the speculative
-        // cell must actually speculate and resolve every episode, and
-        // the conservative cell must not.
-        if (conservative.windows.speculated != 0) {
-            std::fprintf(stderr,
-                         "FAIL: conservative optimism cell speculated "
-                         "%llu times\n",
-                         static_cast<unsigned long long>(
-                             conservative.windows.speculated));
-            ok = false;
-        }
-        if (speculative.windows.speculated == 0) {
-            std::fprintf(stderr,
-                         "FAIL: optimism=%d cell never speculated; the "
-                         "machine saver is not engaging\n",
-                         optimism);
-            ok = false;
-        }
-        if (speculative.windows.commits +
-                speculative.windows.rollbacks ==
-            0) {
-            std::fprintf(stderr,
-                         "FAIL: optimism=%d cell speculated but never "
-                         "resolved a speculation\n",
-                         optimism);
-            ok = false;
-        }
-
-        const double spec_target = std::max(o.checkSpeedup, 2.0);
-        const double best = minOf(speculative.seconds);
-        const double speedup = best > 0 ? serial_min / best : 0.0;
-        if (o.checkSpeedup > 0 &&
-            hw >= static_cast<unsigned>(spec_threads) &&
-            speedup < spec_target) {
-            std::fprintf(stderr,
-                         "FAIL: speculative optimism cell: %.2fx < "
-                         "required %.2fx\n",
-                         speedup, spec_target);
-            ok = false;
-        }
-        if (o.checkSpeedup > 0 &&
-            hw < static_cast<unsigned>(spec_threads)) {
-            std::printf("  (optimism speedup check skipped: host has "
-                        "%u cores for %d workers)\n",
-                        hw, spec_threads);
         }
     }
 

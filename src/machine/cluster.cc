@@ -1,7 +1,6 @@
 #include "cluster.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -59,12 +58,6 @@ bool
 defaultPdesPerDest()
 {
     return envFlag("SWSM_PDES_PER_DEST", true);
-}
-
-int
-defaultPdesOptimism()
-{
-    return envBoundedInt("SWSM_PDES_OPTIMISM", 0, 4096, 0);
 }
 
 Cluster::Cluster(const MachineParams &params) : params_(params)
@@ -184,27 +177,6 @@ Cluster::Cluster(const MachineParams &params) : params_(params)
                          [this] { return pdesStats_.maxPartitionEvents; });
     registry_.addCounter("sim.pdes_window_widened",
                          [this] { return pdesStats_.widenedWindows; });
-    registry_.addCounter("sim.pdes_speculated",
-                         [this] { return pdesStats_.speculated; });
-    registry_.addCounter("sim.pdes_rollbacks",
-                         [this] { return pdesStats_.rollbacks; });
-    registry_.addCounter("sim.pdes_commits",
-                         [this] { return pdesStats_.commits; });
-    // Machine-level checkpoint traffic (machine/pdes_saver.hh). Zeros
-    // unless the run speculated; like sim.pdes_*, equivalence
-    // comparisons ignore machine.saver_*.
-    registry_.addCounter("machine.saver_saves",
-                         [this] { return saverStats_.saves; });
-    registry_.addCounter("machine.saver_restores",
-                         [this] { return saverStats_.restores; });
-    registry_.addCounter("machine.saver_discards",
-                         [this] { return saverStats_.discards; });
-    registry_.addCounter("machine.saver_snapshot_bytes",
-                         [this] { return saverStats_.snapshotBytes; });
-    registry_.addCounter("machine.saver_pages_copied",
-                         [this] { return saverStats_.pagesCopied; });
-    registry_.addCounter("machine.saver_undo_entries",
-                         [this] { return saverStats_.undoEntries; });
 }
 
 Cluster::~Cluster() = default;
@@ -283,16 +255,6 @@ Cluster::run(std::function<void(Thread &)> body)
                 static_cast<std::int64_t>(n) * partitions /
                 params_.numProcs);
         }
-        if (envFlag("SWSM_PDES_UNSOUND_WIDEN", false)) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                SWSM_WARN(
-                    "SWSM_PDES_UNSOUND_WIDEN is retired and ignored: "
-                    "the per-destination lookahead windows "
-                    "(SWSM_PDES_PER_DEST, on by default) are a sound "
-                    "superset of the old min-over-others widening");
-            }
-        }
         PdesConfig config;
         // Partition-to-partition minimum hop cost: the least lookahead
         // over the node pairs that cross the partition boundary. The
@@ -316,33 +278,10 @@ Cluster::run(std::function<void(Thread &)> body)
         }
         config.policy = params_.pdesPerDest ? PdesWindowPolicy::PerDest
                                             : PdesWindowPolicy::GlobalMin;
-        config.optimism = params_.pdesOptimism;
-        std::unique_ptr<MachineStateSaver> saver;
-        if (config.optimism > 0) {
-            // Machine-level checkpointing: the saver snapshots each
-            // partition's nodes, channels, counter shards and protocol
-            // scalars, and collects copy-on-write undo entries from
-            // the layers' mutation sites (machine/pdes_saver.hh).
-            // Fiber switches stay speculation barriers, so fiber
-            // stacks never need saving.
-            std::vector<Node *> node_ptrs;
-            node_ptrs.reserve(nodes.size());
-            for (auto &node : nodes)
-                node_ptrs.push_back(node.get());
-            saver = std::make_unique<MachineStateSaver>(
-                std::move(node_ptrs), *network_, *msg, *protocol_,
-                partition_of, partitions);
-            saver->attach();
-            config.saver = saver.get();
-        }
         PdesEngine engine(eq, std::move(partition_of), partitions,
                           std::move(config));
         engine.run();
         pdesStats_ = engine.stats();
-        if (saver) {
-            saverStats_ = saver->stats();
-            saver->detach();
-        }
         if (check::enabled())
             engine.checkDrained();
         // Restore the serial view for post-run verification (e.g. SC's

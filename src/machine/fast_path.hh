@@ -182,8 +182,7 @@ class FastPath
      * entry in its own unit's slot, so only the slots of the units the
      * range covers are visited (every slot once if it covers more
      * units than the table has slots). An installGlobal() entry is
-     * dropped from those slots only; invalidateAll() drops it
-     * everywhere.
+     * dropped from those slots only.
      */
     void
     invalidateRange(GlobalAddr base, GlobalAddr limit)
@@ -199,14 +198,6 @@ class FastPath
             if (e.base < limit && base < e.limit)
                 reset(e);
         }
-    }
-
-    /** Drop every entry (writes only the valid ones). */
-    void
-    invalidateAll()
-    {
-        for (Entry &e : slots())
-            reset(e);
     }
 
     /**

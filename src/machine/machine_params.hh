@@ -49,12 +49,6 @@ int defaultSimThreads();
  */
 bool defaultPdesPerDest();
 
-/**
- * Default for MachineParams::pdesOptimism: SWSM_PDES_OPTIMISM if set
- * (max events a partition speculates past its sound window), else 0.
- */
-int defaultPdesOptimism();
-
 /** Full configuration of one simulated cluster. */
 struct MachineParams
 {
@@ -116,17 +110,6 @@ struct MachineParams
      * shape counters differ.
      */
     bool pdesPerDest = defaultPdesPerDest();
-    /**
-     * Bounded-optimism budget: max events a partition may execute past
-     * its sound window per speculation, rolled back on a straggler
-     * (sim/pdes.hh). Partitioned cluster runs check speculation state
-     * with the machine-level MachineStateSaver (machine/pdes_saver.hh);
-     * rollbacks restore byte-identical state, so results stay
-     * bit-identical to a serial run — only host time and the
-     * sim.pdes_* / machine.saver_* shape counters change. Defaults
-     * from SWSM_PDES_OPTIMISM.
-     */
-    int pdesOptimism = defaultPdesOptimism();
     /** Seed for all randomized decisions (bit-reproducible runs). */
     std::uint64_t seed = 12345;
     /** Application fiber stack size. */

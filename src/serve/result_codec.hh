@@ -25,7 +25,10 @@
  *
  * schemaVersion is stamped into the segment header (keySchema); any
  * layout change here must bump it so stale segments rebuild instead of
- * misdecoding.
+ * misdecoding. A change to the set of metrics a run registers must bump
+ * it too: a result blob stores the full metrics snapshot, but the memo
+ * key does not name the registered metrics, so an old segment would
+ * replay counters a fresh run no longer emits (or lack new ones).
  */
 
 #ifndef SWSM_SERVE_RESULT_CODEC_HH
@@ -40,8 +43,11 @@
 namespace swsm::codec
 {
 
-/** Bumped on any byte-layout change (segment keySchema). */
-constexpr std::uint32_t schemaVersion = 1;
+/**
+ * Bumped on any byte-layout change or registered-metric-set change
+ * (segment keySchema).
+ */
+constexpr std::uint32_t schemaVersion = 2;
 
 std::string encodeResult(const ExperimentResult &r);
 /** @return false (out untouched on magic mismatch) on malformed blobs */

@@ -391,6 +391,30 @@ TEST_F(ServeTest, CorruptSegmentIsRejectedAndRebuilt)
     EXPECT_EQ(r1.report, r2.report);
 }
 
+TEST_F(ServeTest, SegmentFromAnOlderResultSchemaIsRebuilt)
+{
+    // A segment written under result schema 1 holds blobs whose metrics
+    // snapshots carry counters the current machine no longer registers;
+    // the server must wipe it on attach instead of replaying them.
+    static_assert(codec::schemaVersion > 1);
+    const ServerOptions opts = testServerOptions(sock());
+    {
+        ShmCache::Options co;
+        co.name = opts.segment;
+        co.keySchema = 1;
+        co.slotCount = opts.slotCount;
+        co.arenaBytes = opts.arenaBytes;
+        ShmCache cache(co);
+        ASSERT_TRUE(cache.put("stale", "schema-1 blob"));
+    }
+
+    ServerHandle h(opts);
+    EXPECT_TRUE(h.server->cache().wasRebuilt());
+    std::string v;
+    EXPECT_FALSE(h.server->cache().get("stale", v));
+    EXPECT_EQ(h.server->cache().stats().slotsUsed, 0u);
+}
+
 TEST_F(ServeTest, GridSecondPassIsAllHits)
 {
     ServerHandle h(testServerOptions(sock()));
