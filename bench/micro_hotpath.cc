@@ -16,7 +16,11 @@
  *    SIMD run bursts vs the scalar word loop;
  *  - twin_create words/sec: page copy into a twin buffer, SIMD vs
  *    scalar;
- *  - events/sec: raw event-kernel schedule+dispatch throughput.
+ *  - events/sec: raw event-kernel schedule+dispatch throughput, on a
+ *    4-event heap of tiny closures (pure dispatch cost) and on a
+ *    loaded heap of 256 pending events with mixed 24-72 byte closures
+ *    (the pending depth and capture sizes of a simulated cluster, where
+ *    heap upkeep dominates).
  *
  * The "SIMD" arm of each A/B uses the ambient dispatch level, so a run
  * under SWSM_SIMD=0 reports scalar-vs-scalar (ratio ~1) and the two CI
@@ -255,6 +259,79 @@ eventSeconds(std::uint64_t total)
     return secondsSince(start);
 }
 
+/**
+ * Shared state of the loaded-heap event run: every event fires, checks
+ * its payload and schedules one replacement, so the heap stays at
+ * loadedPending events throughout.
+ */
+struct LoadedRun
+{
+    static constexpr int loadedPending = 256;
+
+    EventQueue eq;
+    std::uint64_t fired = 0;
+    std::uint64_t total = 0;
+    std::uint64_t checksum = 0;
+
+    void schedule(std::uint64_t id);
+};
+
+/**
+ * One event of the loaded run. Words = 1, 4 and 7 give 24, 48 and 72
+ * byte closures — the last is EventFn's inline limit, the network
+ * local-dispatch closure's size.
+ */
+template <int Words>
+void
+scheduleLoaded(LoadedRun &run, std::uint64_t id)
+{
+    std::uint64_t words[Words];
+    for (int i = 0; i < Words; ++i)
+        words[i] = id + i;
+    // A spread of 1-61 cycles ahead (with ties) keeps the heap mixed.
+    const Cycles when = run.eq.now() + 1 + (id * 2654435761u) % 61;
+    auto fn = [&run, id, words] {
+        for (int i = 0; i < Words; ++i)
+            run.checksum += words[i];
+        if (++run.fired + LoadedRun::loadedPending <= run.total)
+            run.schedule(id + LoadedRun::loadedPending);
+    };
+    static_assert(sizeof(fn) <= EventFn::inlineBytes);
+    run.eq.schedule(when, std::move(fn));
+}
+
+void
+LoadedRun::schedule(std::uint64_t id)
+{
+    switch (id % 3) {
+      case 0:
+        scheduleLoaded<1>(*this, id);
+        break;
+      case 1:
+        scheduleLoaded<4>(*this, id);
+        break;
+      default:
+        scheduleLoaded<7>(*this, id);
+        break;
+    }
+}
+
+/** Host seconds to fire total events with ~256 pending throughout. */
+double
+eventLoadedSeconds(std::uint64_t total)
+{
+    LoadedRun run;
+    run.total = total;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < LoadedRun::loadedPending; ++i)
+        run.schedule(static_cast<std::uint64_t>(i));
+    run.eq.run();
+    const double elapsed = secondsSince(start);
+    if (run.fired != total || run.eq.maxPending() != LoadedRun::loadedPending)
+        std::fprintf(stderr, "loaded event run misfired\n");
+    return elapsed;
+}
+
 /** Min/median over a measurement's reps. */
 struct Reps
 {
@@ -360,6 +437,8 @@ main(int argc, char **argv)
         measure(reps, [&] { return twinCreateSeconds(sca, copy_reps); });
     const Reps events =
         measure(reps, [&] { return eventSeconds(event_total); });
+    const Reps events_loaded =
+        measure(reps, [&] { return eventLoadedSeconds(event_total); });
 
     // Throughputs from the fastest rep of each measurement.
     const double work = static_cast<double>(2 * access_iters);
@@ -380,6 +459,8 @@ main(int argc, char **argv)
     const double tv = copy_work / twin_simd.min();
     const double ts = copy_work / twin_scalar.min();
     const double ev = static_cast<double>(event_total) / events.min();
+    const double evl =
+        static_cast<double>(event_total) / events_loaded.min();
 
     std::printf("simd level %s (scalar A/B in-process)\n",
                 simd::levelName(vec));
@@ -394,6 +475,8 @@ main(int argc, char **argv)
     std::printf("twin create w/sec simd     %.3e  scalar   %.3e  (%.2fx)\n",
                 tv, ts, tv / ts);
     std::printf("events/sec        %.3e   (best of %d reps)\n", ev, reps);
+    std::printf("events/sec        %.3e   (%d pending, 24-72 B closures)\n",
+                evl, LoadedRun::loadedPending);
 
     JsonWriter w(2);
     w.beginObject();
@@ -433,6 +516,7 @@ main(int argc, char **argv)
     w.member("speedup", tv / ts);
     w.endObject();
     w.member("events_per_sec", ev);
+    w.member("events_loaded_per_sec", evl);
     w.key("hostSeconds");
     w.beginObject();
     writeSection(w, "access", {&acc_fast, &acc_slow});
@@ -442,6 +526,7 @@ main(int argc, char **argv)
     writeSection(w, "diff_apply", {&apply_simd, &apply_scalar});
     writeSection(w, "twin_create", {&twin_simd, &twin_scalar});
     writeSection(w, "events", {&events});
+    writeSection(w, "events_loaded", {&events_loaded});
     w.endObject();
     w.endObject();
 

@@ -44,8 +44,9 @@ MsgLayer::sendRequest(NodeId src, NodeId dst, std::uint32_t payload_bytes,
         };
     }
     net.send(src, dst, msgHeaderBytes + payload_bytes, ready,
-             [sink, handling, fn = std::move(dispatch)](Cycles delivered) {
-                 sink->postHandler(delivered + handling, fn);
+             [sink, handling,
+              fn = std::move(dispatch)](Cycles delivered) mutable {
+                 sink->postHandler(delivered + handling, std::move(fn));
              });
 }
 
@@ -58,8 +59,8 @@ MsgLayer::sendData(NodeId src, NodeId dst, std::uint32_t payload_bytes,
     data.inc();
     HandlerSink *sink = sinks[dst];
     net.send(src, dst, msgHeaderBytes + payload_bytes, ready,
-             [sink, fn = std::move(fn)](Cycles delivered) {
-                 sink->postData(delivered, fn);
+             [sink, fn = std::move(fn)](Cycles delivered) mutable {
+                 sink->postData(delivered, std::move(fn));
              });
 }
 

@@ -36,20 +36,26 @@ Network::Network(EventQueue &eq, int num_nodes, const CommParams &params)
 void
 Network::complete(Channel &ch, std::uint64_t seq, Cycles t, DeliverFn cb)
 {
-    ch.done.emplace(seq, std::make_pair(t, std::move(cb)));
-    while (true) {
-        auto it = ch.done.find(ch.nextDeliver);
-        if (it == ch.done.end())
-            break;
-        const Cycles when = std::max(it->second.first, ch.lastTime);
+    // Early finishers wait in the map; it only ever holds sequences
+    // past nextDeliver, so an in-order message never needs it.
+    if (seq != ch.nextDeliver) {
+        ch.done.emplace(seq, std::make_pair(t, std::move(cb)));
+        return;
+    }
+    const auto deliver = [this, &ch](Cycles done_at, DeliverFn &&fn) {
+        const Cycles when = std::max(done_at, ch.lastTime);
         ch.lastTime = when;
-        DeliverFn fn = std::move(it->second.second);
-        ch.done.erase(it);
         ++ch.nextDeliver;
         eq.schedule(when, [this, when, fn = std::move(fn)] {
             delivered_.inc();
             fn(when);
         });
+    };
+    deliver(t, std::move(cb));
+    while (!ch.done.empty() && ch.done.begin()->first == ch.nextDeliver) {
+        auto it = ch.done.begin();
+        deliver(it->second.first, std::move(it->second.second));
+        ch.done.erase(it);
     }
 }
 
@@ -211,6 +217,8 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
     }
 
     // Per-message completion tracker shared by the packet pipelines.
+    // Each packet copies it once; the stages then move it down their
+    // chain, so a packet costs one refcount inc/dec pair, not five.
     struct Tracker
     {
         std::uint32_t remaining;
@@ -236,12 +244,14 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
         // stage 2's dispatch is the one cross-node hop (scheduleTo), so
         // stages 3-5 and the delivery execute in the receiver's context
         // — the partition-ownership split the parallel engine needs.
-        auto stage1 = [this, src, dst, pkt, &channel, seq, tracker] {
+        auto stage1 = [this, src, dst, pkt, &channel, seq,
+                       tracker]() mutable {
             Nic &snic = *nics[src];
             const Cycles io_done = snic.ioBus.acquire(
                 eq.now(), transferCycles(pkt, params_.ioBusBytesPerCycle));
 
-            auto stage2 = [this, src, dst, pkt, &channel, seq, tracker] {
+            auto stage2 = [this, src, dst, pkt, &channel, seq,
+                           tracker = std::move(tracker)]() mutable {
                 Nic &snic = *nics[src];
                 const Cycles ni_done = snic.niProc.acquire(
                     eq.now(), params_.niOccupancyPerPacket);
@@ -252,20 +262,23 @@ Network::send(NodeId src, NodeId dst, std::uint32_t bytes,
                 const Cycles arrive = ni_done + linkLatency(src, dst) +
                     transferCycles(pkt, linkBandwidth(src, dst));
 
-                auto stage3 = [this, dst, pkt, &channel, seq, tracker] {
+                auto stage3 = [this, dst, pkt, &channel, seq,
+                               tracker = std::move(tracker)]() mutable {
                     Nic &dnic = *nics[dst];
                     const Cycles rni_done = dnic.niProc.acquire(
                         eq.now(), params_.niOccupancyPerPacket);
 
                     auto stage4 = [this, dst, pkt, &channel, seq,
-                                   tracker] {
+                                   tracker = std::move(
+                                       tracker)]() mutable {
                         Nic &dnic = *nics[dst];
                         const Cycles rio_done = dnic.ioBus.acquire(
                             eq.now(),
                             transferCycles(pkt,
                                            params_.ioBusBytesPerCycle));
 
-                        auto stage5 = [this, &channel, seq, tracker] {
+                        auto stage5 = [this, &channel, seq,
+                                       tracker = std::move(tracker)] {
                             tracker->latest =
                                 std::max(tracker->latest, eq.now());
                             if (--tracker->remaining == 0) {

@@ -169,11 +169,6 @@ class Network
     /** Cycles to move @p bytes over a bandwidth in bytes/cycle. */
     static Cycles transferCycles(std::uint32_t bytes, double bytes_per_cycle);
 
-    /** Advance one packet of a message through the pipeline. */
-    void sendPacket(NodeId src, NodeId dst, std::uint32_t pkt_bytes,
-                    std::uint32_t remaining, Cycles ready_time,
-                    std::shared_ptr<DeliverFn> on_delivered);
-
     /**
      * Per-(src, dst) FIFO channel: messages are delivered in injection
      * order even when a small message would overtake a large one on the

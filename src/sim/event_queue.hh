@@ -12,10 +12,10 @@
  * The kernel schedules millions of events per run, so the callback type
  * is a small-buffer EventFn rather than std::function: every callback the
  * simulator itself creates fits in the inline storage and scheduling one
- * costs no heap allocation. The underlying binary heap is an explicit
- * std::vector (reserved up front) instead of std::priority_queue, so
- * entries can be moved out without const_cast and the backing storage
- * can be pre-sized.
+ * costs no heap allocation. Pending events live in an EventHeap: the
+ * heap orders 24-byte trivially copyable keys, and the callbacks sit
+ * still in a slab beside it, so a heap sift never moves a closure (see
+ * EventHeap).
  *
  * Slots and execution contexts: every event belongs to a slot (in the
  * machine layer, the node whose state it touches). schedule() inherits
@@ -169,6 +169,154 @@ class EventFn
 };
 
 /**
+ * Binary min-heap of pending events ordered by (when, stamp).
+ *
+ * The heap itself holds only trivially copyable 24-byte Keys; each
+ * event's callback sits in a slab slot (recycled through a free list)
+ * that its key names. A sift therefore copies keys, never closures: a
+ * callback moves into the slab once at push() and out once at pop(),
+ * however deep the heap. pop() moves the callback out before the
+ * caller invokes it, because a running callback may push events and
+ * regrow the slab under its own feet.
+ *
+ * (when, stamp) is a strict total order — stamps are unique — so the
+ * pop order is a function of the pushed set alone, independent of the
+ * heap's layout or the order the events were pushed in.
+ * The serial queue and every parallel partition share this type.
+ */
+class EventHeap
+{
+  public:
+    struct Key
+    {
+        Cycles when;
+        /** (scheduling slot << 48) | per-slot sequence; unique. */
+        std::uint64_t stamp;
+        /** Slab slot holding the callback. */
+        std::uint32_t fn;
+        /** Slot whose context the event executes in. */
+        std::uint32_t execSlot;
+    };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+
+    /** A popped event: its time, execution slot and callback. */
+    struct Popped
+    {
+        Cycles when;
+        std::uint32_t execSlot;
+        EventFn fn;
+    };
+
+    bool empty() const { return keys_.empty(); }
+    std::size_t size() const { return keys_.size(); }
+
+    /** Pre-size the key and slab storage for @p events pending events. */
+    void
+    reserve(std::size_t events)
+    {
+        keys_.reserve(events);
+        fns_.reserve(events);
+        free_.reserve(events);
+    }
+
+    /** Earliest pending event. @pre !empty() */
+    const Key &top() const { return keys_.front(); }
+
+    void
+    push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
+         EventFn &&fn)
+    {
+        std::uint32_t idx;
+        if (free_.empty()) {
+            idx = static_cast<std::uint32_t>(fns_.size());
+            fns_.push_back(std::move(fn));
+        } else {
+            idx = free_.back();
+            free_.pop_back();
+            fns_[idx] = std::move(fn);
+        }
+        keys_.push_back(Key{when, stamp, idx, exec_slot});
+        siftUp(keys_.size() - 1);
+    }
+
+    /** Remove the earliest event and hand back its callback. @pre !empty() */
+    Popped
+    pop()
+    {
+        const Key k = keys_.front();
+        const Key last = keys_.back();
+        keys_.pop_back();
+        if (!keys_.empty())
+            siftDown(last);
+        free_.push_back(k.fn);
+        return Popped{k.when, k.execSlot, std::move(fns_[k.fn])};
+    }
+
+    /**
+     * Move every pending event, in no particular order, into
+     * @p sink(when, stamp, exec_slot, EventFn &&) and leave the heap
+     * empty. Used to hand events between heaps; the receiving heaps
+     * re-establish order on push.
+     */
+    template <typename Sink>
+    void
+    drainTo(Sink &&sink)
+    {
+        for (const Key &k : keys_)
+            sink(k.when, k.stamp, k.execSlot, std::move(fns_[k.fn]));
+        keys_.clear();
+        fns_.clear();
+        free_.clear();
+    }
+
+  private:
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return a.when < b.when || (a.when == b.when && a.stamp < b.stamp);
+    }
+
+    void
+    siftUp(std::size_t i)
+    {
+        const Key k = keys_[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (!before(k, keys_[parent]))
+                break;
+            keys_[i] = keys_[parent];
+            i = parent;
+        }
+        keys_[i] = k;
+    }
+
+    /** Re-seat @p k, displaced from the end, starting at the root. */
+    void
+    siftDown(const Key &k)
+    {
+        const std::size_t n = keys_.size();
+        std::size_t i = 0;
+        for (;;) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n && before(keys_[child + 1], keys_[child]))
+                ++child;
+            if (!before(keys_[child], k))
+                break;
+            keys_[i] = keys_[child];
+            i = child;
+        }
+        keys_[i] = k;
+    }
+
+    std::vector<Key> keys_;
+    std::vector<EventFn> fns_;
+    /** Vacant slab slots. */
+    std::vector<std::uint32_t> free_;
+};
+
+/**
  * Priority queue of timed callbacks with deterministic tie-breaking.
  *
  * The queue owns the notion of "now": the timestamp of the event currently
@@ -277,27 +425,6 @@ class EventQueue
   private:
     friend class PdesEngine;
 
-    struct Entry
-    {
-        Cycles when;
-        /** (scheduling slot << 48) | per-slot sequence; unique. */
-        std::uint64_t stamp;
-        /** Slot whose context the event executes in. */
-        std::uint32_t execSlot;
-        EventFn fn;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.stamp > b.stamp;
-        }
-    };
-
     /**
      * Per-slot stamp counter, cache-line padded: in parallel mode each
      * slot's counter is touched only by the worker owning that slot's
@@ -320,7 +447,7 @@ class EventQueue
 
     /** Common serial-mode insert. */
     void push(Cycles when, std::uint64_t stamp, std::uint32_t exec_slot,
-              EventFn fn);
+              EventFn &&fn);
 
     [[noreturn]] void pastPanic(Cycles when, Cycles now) const;
 
@@ -328,7 +455,7 @@ class EventQueue
     Cycles parallelNow() const;
     std::uint32_t parallelSlot() const;
 
-    std::vector<Entry> heap;
+    EventHeap heap;
     Cycles now_ = 0;
     std::uint32_t curSlot_ = 0;
     std::vector<SlotSeq> slotSeq_;

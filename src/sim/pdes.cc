@@ -124,47 +124,9 @@ PdesEngine::PdesEngine(EventQueue &eq, std::vector<int> partition_of,
 PdesEngine::~PdesEngine() = default;
 
 void
-PdesEngine::pushLocal(Partition &part, Entry entry)
+PdesEngine::drainBox(Partition &part, std::vector<Mail> &box)
 {
-    part.heap.push_back(std::move(entry));
-    std::push_heap(part.heap.begin(), part.heap.end(),
-                   EventQueue::Later{});
-    if (part.heap.size() > part.maxPending)
-        part.maxPending = part.heap.size();
-}
-
-void
-PdesEngine::mergeEntries(Partition &part, std::vector<Entry> &entries)
-{
-    // Append the batch, then repair the heap in one pass: for small
-    // batches an incremental push_heap preserves the O(k log n) bound;
-    // once the batch is a sizable fraction of the heap a single
-    // make_heap is cheaper (O(n)). Heap layout does not affect
-    // determinism — events execute in (when, stamp) order, a strict
-    // total order.
-    auto &heap = part.heap;
-    const std::size_t start = heap.size();
-    for (Entry &e : entries)
-        heap.push_back(std::move(e));
-    entries.clear();
-    const std::size_t added = heap.size() - start;
-    if (added == 0)
-        return;
-    if (added > start / 4) {
-        std::make_heap(heap.begin(), heap.end(), EventQueue::Later{});
-    } else {
-        for (std::size_t i = start + 1; i <= heap.size(); ++i)
-            std::push_heap(heap.begin(), heap.begin() + i,
-                           EventQueue::Later{});
-    }
-    if (heap.size() > part.maxPending)
-        part.maxPending = heap.size();
-}
-
-void
-PdesEngine::drainBox(Partition &part, std::vector<Entry> &box)
-{
-    for (Entry &e : box) {
+    for (Mail &e : box) {
         // Always-on causality check (not just SWSM_CHECK): with the
         // sound window bound this is dead code by construction, and
         // it is the check that catches any unsound widening executing
@@ -176,13 +138,16 @@ PdesEngine::drainBox(Partition &part, std::vector<Entry> &box)
                 static_cast<unsigned long long>(e.when),
                 static_cast<unsigned long long>(part.now));
         }
+        part.heap.push(e.when, e.stamp, e.execSlot, std::move(e.fn));
     }
-    mergeEntries(part, box);
+    box.clear();
+    if (part.heap.size() > part.maxPending)
+        part.maxPending = part.heap.size();
 }
 
 void
 PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
-                             EventFn fn)
+                             EventFn &&fn)
 {
     Partition &part = parts_[tlsWorker.p];
     if (exec_slot == sameSlot)
@@ -193,7 +158,9 @@ PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
     if (dst == tlsWorker.p) {
         if (when < part.now)
             eq_.pastPanic(when, part.now);
-        pushLocal(part, Entry{when, stamp, exec_slot, std::move(fn)});
+        part.heap.push(when, stamp, exec_slot, std::move(fn));
+        if (part.heap.size() > part.maxPending)
+            part.maxPending = part.heap.size();
         return;
     }
     // The conservative contract: anything crossing partitions must land
@@ -209,7 +176,7 @@ PdesEngine::parallelSchedule(std::uint32_t exec_slot, Cycles when,
     }
     ++part.mailed;
     boxes_[static_cast<std::size_t>(tlsWorker.p) * numPartitions_ + dst]
-        .push_back(Entry{when, stamp, exec_slot, std::move(fn)});
+        .emplace_back(when, stamp, exec_slot, std::move(fn));
 }
 
 void
@@ -263,15 +230,13 @@ PdesEngine::windowBound(int p, const Cycles *earliest) const
 void
 PdesEngine::executeWindow(Partition &part, Cycles window_end)
 {
-    auto &heap = part.heap;
-    while (!heap.empty() && heap.front().when < window_end) {
-        std::pop_heap(heap.begin(), heap.end(), EventQueue::Later{});
-        Entry entry = std::move(heap.back());
-        heap.pop_back();
-        part.now = entry.when;
-        part.slot = entry.execSlot;
+    EventHeap &heap = part.heap;
+    while (!heap.empty() && heap.top().when < window_end) {
+        EventHeap::Popped ev = heap.pop();
+        part.now = ev.when;
+        part.slot = ev.execSlot;
         ++part.executed;
-        entry.fn();
+        ev.fn();
     }
 }
 
@@ -308,7 +273,7 @@ PdesEngine::workerLoop(int p)
         }
 
         part.published.store(
-            part.heap.empty() ? noEvent : part.heap.front().when,
+            part.heap.empty() ? noEvent : part.heap.top().when,
             std::memory_order_relaxed);
         barrier_.wait();
 
@@ -362,12 +327,12 @@ PdesEngine::run()
 {
     // Seed the partitions from the queue's pending events (setup-phase
     // events scheduled serially before the run).
-    for (Entry &e : eq_.heap)
-        parts_[partitionOf_[e.execSlot]].heap.push_back(std::move(e));
-    eq_.heap.clear();
+    eq_.heap.drainTo([this](Cycles when, std::uint64_t stamp,
+                            std::uint32_t exec_slot, EventFn &&fn) {
+        parts_[partitionOf_[exec_slot]].heap.push(when, stamp, exec_slot,
+                                                  std::move(fn));
+    });
     for (Partition &part : parts_) {
-        std::make_heap(part.heap.begin(), part.heap.end(),
-                       EventQueue::Later{});
         part.now = eq_.now_;
         part.maxPending = part.heap.size();
     }
@@ -384,7 +349,6 @@ PdesEngine::run()
 
     // Merge the partition counters back into the queue.
     std::uint64_t executed = 0;
-    bool leftovers = false;
     stats_.partitions = static_cast<std::uint64_t>(numPartitions_);
     stats_.windows = parts_[0].windows;
     stats_.partitionEvents.clear();
@@ -400,15 +364,11 @@ PdesEngine::run()
         stats_.maxPartitionEvents =
             std::max(stats_.maxPartitionEvents, part.executed);
         stats_.partitionEvents.push_back(part.executed);
-        for (Entry &e : part.heap) {
-            eq_.heap.push_back(std::move(e));
-            leftovers = true;
-        }
-        part.heap.clear();
+        part.heap.drainTo([this](Cycles when, std::uint64_t stamp,
+                                 std::uint32_t exec_slot, EventFn &&fn) {
+            eq_.heap.push(when, stamp, exec_slot, std::move(fn));
+        });
     }
-    if (leftovers)
-        std::make_heap(eq_.heap.begin(), eq_.heap.end(),
-                       EventQueue::Later{});
 
     for (const Partition &part : parts_) {
         if (part.error)

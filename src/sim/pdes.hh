@@ -178,7 +178,14 @@ class PdesEngine
   private:
     friend class EventQueue;
 
-    using Entry = EventQueue::Entry;
+    /** A cross-partition event in transit through a mailbox. */
+    struct Mail
+    {
+        Cycles when;
+        std::uint64_t stamp;
+        std::uint32_t execSlot;
+        EventFn fn;
+    };
 
     /** Sense-reversing spin barrier for the window rounds. */
     class Barrier
@@ -195,7 +202,7 @@ class PdesEngine
 
     struct alignas(64) Partition
     {
-        std::vector<Entry> heap;
+        EventHeap heap;
         Cycles now = 0;
         std::uint32_t slot = 0;
         std::uint64_t executed = 0;
@@ -224,7 +231,8 @@ class PdesEngine
     }
 
     /** Called by EventQueue while the run is live. */
-    void parallelSchedule(std::uint32_t exec_slot, Cycles when, EventFn fn);
+    void parallelSchedule(std::uint32_t exec_slot, Cycles when,
+                          EventFn &&fn);
 
     void workerLoop(int p);
     /**
@@ -235,12 +243,8 @@ class PdesEngine
     /** Window bound for partition @p p given the fixpoint values. */
     Cycles windowBound(int p, const Cycles *earliest) const;
     void executeWindow(Partition &part, Cycles window_end);
-    void pushLocal(Partition &part, Entry entry);
-    /** Move a whole mailbox into the heap with one batched repair. */
-    void drainBox(Partition &part, std::vector<Entry> &box);
-    /** Append entries to the heap and repair it in one pass. */
-    void mergeEntries(Partition &part, std::vector<Entry> &entries);
-
+    /** Move a whole mailbox into the partition's heap. */
+    void drainBox(Partition &part, std::vector<Mail> &box);
 
     EventQueue &eq_;
     const std::vector<int> partitionOf_;
@@ -251,7 +255,7 @@ class PdesEngine
     Cycles minLookahead_ = noEvent;
     std::vector<Partition> parts_;
     /** Mailboxes, indexed [src * P + dst]; single producer per window. */
-    std::vector<std::vector<Entry>> boxes_;
+    std::vector<std::vector<Mail>> boxes_;
     Barrier barrier_;
     std::atomic<bool> abort_{false};
     PdesRunStats stats_;

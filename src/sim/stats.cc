@@ -1,5 +1,8 @@
 #include "stats.hh"
 
+#include <algorithm>
+#include <bit>
+
 namespace swsm
 {
 
@@ -23,9 +26,10 @@ setStatShard(int shard)
 void
 Histogram::sample(std::uint64_t v)
 {
-    unsigned bucket = 0;
-    while (bucket + 1 < buckets.size() && v >= (1ULL << bucket))
-        ++bucket;
+    // Bucket i >= 1 holds [2^(i-1), 2^i), i.e. values of bit width i;
+    // the last bucket also takes everything wider.
+    const std::size_t bucket = std::min<std::size_t>(
+        static_cast<std::size_t>(std::bit_width(v)), buckets.size() - 1);
     ++buckets[bucket];
     ++total;
 }

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -330,6 +332,68 @@ TEST(PdesUnsoundWiden, PerDestBoundStaysSoundOnTheOldCounterexample)
     PdesEngine engine(eq, {0, 1}, 2, std::move(config));
     EXPECT_EQ(engine.run(), serial_events);
     EXPECT_GT(engine.stats().widenedWindows, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Closure lifetimes across the queue <-> partition heap hand-off.
+// ---------------------------------------------------------------------
+
+/** 4 slots on 2 partitions; every seeded event mails a child to the
+ *  next slot (a cross-partition hop for half of them). */
+void
+seedHandOffScenario(EventQueue &eq, const std::shared_ptr<int> &token,
+                    std::atomic<int> &fired, Cycles throw_at)
+{
+    eq.setNumSlots(4);
+    for (std::uint32_t s = 0; s < 4; ++s) {
+        for (Cycles t = 0; t < 150; t += 3) {
+            eq.scheduleTo(s, t, [&eq, &fired, token, s, throw_at] {
+                fired.fetch_add(1, std::memory_order_relaxed);
+                if (eq.now() == throw_at && s == 1)
+                    throw std::runtime_error("event failed");
+                eq.scheduleTo((s + 1) % 4, eq.now() + 10,
+                              [&fired, token] {
+                                  fired.fetch_add(
+                                      1, std::memory_order_relaxed);
+                              });
+            });
+        }
+    }
+}
+
+TEST(PdesHandOff, EveryClosureIsDestroyedOnceAfterTheRun)
+{
+    auto token = std::make_shared<int>(0);
+    std::atomic<int> fired{0};
+    EventQueue eq;
+    seedHandOffScenario(eq, token, fired, PdesEngine::noEvent);
+    EXPECT_EQ(token.use_count(), 201);
+    PdesEngine engine(eq, {0, 1, 0, 1}, 2, /*lookahead=*/10);
+    EXPECT_EQ(engine.run(), 400u);
+    EXPECT_EQ(fired.load(), 400);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(PdesHandOff, EventsLeftByAFailedRunAreHandedBackAndDestroyedOnce)
+{
+    auto token = std::make_shared<int>(0);
+    std::atomic<int> fired{0};
+    {
+        EventQueue eq;
+        seedHandOffScenario(eq, token, fired, /*throw_at=*/60);
+        {
+            PdesEngine engine(eq, {0, 1, 0, 1}, 2, /*lookahead=*/10);
+            EXPECT_THROW(engine.run(), std::runtime_error);
+        }
+        // The unfinished heap events went back to the serial queue and
+        // each still holds exactly one reference; mail still in flight
+        // when the run stopped died with the engine.
+        EXPECT_GT(eq.pending(), 0u);
+        EXPECT_EQ(token.use_count(),
+                  1 + static_cast<long>(eq.pending()));
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -191,6 +196,231 @@ TEST(EventQueue, ReserveDoesNotDisturbOrdering)
     EXPECT_EQ(order, expect);
 }
 
+// ---------------------------------------------------------------------
+// EventHeap: pop order against an independent reference, and closure
+// lifetimes across the key heap and its callback slab.
+// ---------------------------------------------------------------------
+
+/** Reference kernel: a std::map keyed by (when, stamp), stamps made by
+ *  the documented (scheduling slot << 48) | per-slot sequence rule. */
+class RefQueue
+{
+  public:
+    explicit RefQueue(std::uint32_t slots) : seq_(slots, 0) {}
+
+    Cycles now() const { return now_; }
+    std::uint32_t currentSlot() const { return cur_; }
+
+    void
+    schedule(Cycles when, std::function<void()> fn)
+    {
+        scheduleTo(cur_, when, std::move(fn));
+    }
+
+    void
+    scheduleTo(std::uint32_t slot, Cycles when, std::function<void()> fn)
+    {
+        const std::uint64_t stamp =
+            (static_cast<std::uint64_t>(cur_) << 48) | seq_[cur_]++;
+        pending_.emplace(std::make_pair(when, stamp),
+                         std::make_pair(slot, std::move(fn)));
+    }
+
+    void
+    run()
+    {
+        while (!pending_.empty()) {
+            auto it = pending_.begin();
+            now_ = it->first.first;
+            cur_ = it->second.first;
+            std::function<void()> fn = std::move(it->second.second);
+            pending_.erase(it);
+            fn();
+        }
+    }
+
+  private:
+    std::map<std::pair<Cycles, std::uint64_t>,
+             std::pair<std::uint32_t, std::function<void()>>>
+        pending_;
+    std::vector<std::uint64_t> seq_;
+    Cycles now_ = 0;
+    std::uint32_t cur_ = 0;
+};
+
+struct Fired
+{
+    std::uint64_t id;
+    Cycles when;
+    std::uint32_t slot;
+
+    bool
+    operator==(const Fired &o) const
+    {
+        return id == o.id && when == o.when && slot == o.slot;
+    }
+};
+
+/**
+ * A seeded random event program: every event, when it fires, records
+ * itself and schedules 0-3 children whose shape is a function of the
+ * seed and its id alone — same-cycle or near-future times (many ties),
+ * schedule or scheduleTo a random slot, and closures of 24, 72
+ * (EventFn's inline limit) or 80 bytes (heap fallback). Captured words
+ * are checked on entry, so a closure corrupted in the slab fails.
+ */
+template <typename Queue>
+class RandomProgram
+{
+  public:
+    RandomProgram(Queue &q, std::uint64_t seed, std::uint32_t slots,
+                  std::uint64_t budget)
+        : q_(q), seed_(seed), slots_(slots), budget_(budget)
+    {}
+
+    void
+    seed(int roots)
+    {
+        Rng rng(seed_);
+        for (int i = 0; i < roots; ++i)
+            spawn(rng, rng.nextBounded(16));
+    }
+
+    std::vector<Fired> fired;
+
+  private:
+    void
+    spawn(Rng &rng, Cycles when)
+    {
+        const std::uint64_t id = nextId_++;
+        const bool to = rng.nextBounded(2) == 0;
+        const auto slot = static_cast<std::uint32_t>(rng.nextBounded(slots_));
+        switch (rng.nextBounded(3)) {
+          case 0:
+            add<1>(id, to, slot, when);
+            break;
+          case 1:
+            add<7>(id, to, slot, when);
+            break;
+          default:
+            add<8>(id, to, slot, when);
+            break;
+        }
+    }
+
+    template <std::size_t N>
+    void
+    add(std::uint64_t id, bool to, std::uint32_t slot, Cycles when)
+    {
+        std::array<std::uint64_t, N> words;
+        for (std::size_t i = 0; i < N; ++i)
+            words[i] = id * 131 + i;
+        auto cb = [this, id, words] {
+            for (std::size_t i = 0; i < N; ++i)
+                ASSERT_EQ(words[i], id * 131 + i);
+            fire(id);
+        };
+        static_assert(N > 7 ? sizeof(cb) > EventFn::inlineBytes
+                            : sizeof(cb) <= EventFn::inlineBytes);
+        if (to)
+            q_.scheduleTo(slot, when, std::move(cb));
+        else
+            q_.schedule(when, std::move(cb));
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        fired.push_back(Fired{id, q_.now(), q_.currentSlot()});
+        Rng rng(seed_ * 1000003 + id);
+        const std::uint64_t children = rng.nextBounded(4);
+        for (std::uint64_t c = 0; c < children && nextId_ < budget_; ++c)
+            spawn(rng, q_.now() + rng.nextBounded(4));
+    }
+
+    Queue &q_;
+    const std::uint64_t seed_;
+    const std::uint32_t slots_;
+    const std::uint64_t budget_;
+    std::uint64_t nextId_ = 0;
+};
+
+TEST(EventHeap, RandomProgramsPopInReferenceOrder)
+{
+    constexpr std::uint32_t slots = 5;
+    constexpr std::uint64_t budget = 6000;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        EventQueue eq;
+        eq.setNumSlots(slots);
+        RandomProgram<EventQueue> got(eq, seed, slots, budget);
+        got.seed(300);
+        eq.run();
+
+        RefQueue ref(slots);
+        RandomProgram<RefQueue> want(ref, seed, slots, budget);
+        want.seed(300);
+        ref.run();
+
+        ASSERT_EQ(got.fired.size(), want.fired.size()) << "seed " << seed;
+        EXPECT_TRUE(got.fired == want.fired) << "seed " << seed;
+        EXPECT_EQ(eq.eventsRun(), got.fired.size());
+        EXPECT_EQ(eq.eventsScheduled(), got.fired.size());
+        EXPECT_GT(eq.maxPending(), 200u) << "seed " << seed;
+    }
+}
+
+TEST(EventHeap, CallbackThatRegrowsTheSlabKeepsItsOwnState)
+{
+    // The callback schedules 20 000 events, so the slab reallocates
+    // several times while the callback is still running; its captures
+    // must survive (it was moved out of the slab first).
+    EventQueue eq;
+    auto token = std::make_shared<int>(0);
+    std::array<std::uint64_t, 6> words{1, 2, 3, 4, 5, 6};
+    std::vector<std::uint64_t> order;
+    constexpr std::uint64_t burst = 20000;
+    eq.schedule(5, [&eq, &order, token, words] {
+        for (std::uint64_t i = 0; i < burst; ++i) {
+            eq.schedule(10 + (i * 7919) % 97,
+                        [&order, token, i] { order.push_back(i); });
+        }
+        EXPECT_EQ(words[5], 6u);
+        EXPECT_EQ(*token, 0);
+        EXPECT_EQ(token.use_count(), static_cast<long>(burst) + 2);
+    });
+    eq.run();
+    ASSERT_EQ(order.size(), burst);
+    EXPECT_TRUE(std::is_sorted(
+        order.begin(), order.end(), [](std::uint64_t a, std::uint64_t b) {
+            const Cycles ta = (a * 7919) % 97, tb = (b * 7919) % 97;
+            return ta != tb ? ta < tb : a < b;
+        }));
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventHeap, EveryClosureIsDestroyedExactlyOnce)
+{
+    auto token = std::make_shared<int>(0);
+    std::array<unsigned char, 2 * EventFn::inlineBytes> big{};
+    {
+        EventQueue eq;
+        for (int i = 0; i < 300; ++i) {
+            if (i % 3 == 0)
+                eq.schedule(i % 11, [token, big] { *token += big[0] + 1; });
+            else
+                eq.schedule(i % 11, [token] { ++*token; });
+        }
+        EXPECT_EQ(token.use_count(), 301);
+        // Run part of the queue: fired closures are gone at once.
+        EXPECT_EQ(eq.run(120), 120u);
+        EXPECT_EQ(token.use_count(), 301 - 120);
+        EXPECT_EQ(*token, 120);
+    }
+    // ~EventQueue destroyed the 180 still pending, once each.
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 120);
+}
+
 TEST(Rng, DeterministicForSeed)
 {
     Rng a(7), b(7);
@@ -285,6 +515,31 @@ TEST(Stats, HistogramBucketsPowerOfTwo)
     EXPECT_EQ(h.bucketCount(0), 1u); // 0
     EXPECT_EQ(h.bucketCount(1), 1u); // 1
     EXPECT_EQ(h.bucketCount(2), 2u); // 2..3
+}
+
+TEST(Stats, HistogramBucketMatchesLinearScan)
+{
+    // The bucket rule the O(1) bit-width lookup must reproduce.
+    const auto scan = [](std::uint64_t v, unsigned n) {
+        unsigned bucket = 0;
+        while (bucket + 1 < n && v >= (1ULL << bucket))
+            ++bucket;
+        return bucket;
+    };
+    std::vector<std::uint64_t> values{0, 1, UINT64_MAX};
+    for (unsigned k = 1; k < 64; ++k) {
+        const std::uint64_t p = 1ULL << k;
+        values.insert(values.end(), {p - 1, p, p + 1});
+    }
+    for (const unsigned n : {1u, 2u, 8u, 32u, 64u}) {
+        for (const std::uint64_t v : values) {
+            Histogram h(n);
+            h.sample(v);
+            const unsigned want = scan(v, n);
+            EXPECT_EQ(h.bucketCount(want), 1u)
+                << "value " << v << " with " << n << " buckets";
+        }
+    }
 }
 
 TEST(Stats, GroupDumpContainsEntries)
