@@ -17,25 +17,29 @@ CacheModel::Level::init(std::uint32_t bytes, std::uint32_t assoc_,
     if (!std::has_single_bit(num_sets))
         SWSM_FATAL("cache level needs a power-of-two number of sets");
     setMask = num_sets - 1;
-    ways.assign(static_cast<std::size_t>(num_sets) * assoc, Way{});
+    tags.assign(static_cast<std::size_t>(num_sets) * assoc, 0);
 }
 
 bool
-CacheModel::Level::lookupInsert(std::uint64_t line, std::uint64_t stamp)
+CacheModel::Level::lookupInsert(std::uint64_t line)
 {
     const std::uint64_t tag = line + 1;
-    Way *const set = &ways[static_cast<std::size_t>(line & setMask) * assoc];
-    Way *victim = set;
-    for (Way *w = set; w != set + assoc; ++w) {
-        if (w->tag == tag) {
-            w->stamp = stamp;
+    std::uint64_t *const set =
+        &tags[static_cast<std::size_t>(line & setMask) * assoc];
+    // One pass shifts the set right behind the incoming tag: a hit at
+    // way k stops after rotating [0, k], and a miss either stops at the
+    // first empty way (all later ways are empty too) or drops the LRU
+    // tag off the tail.
+    std::uint64_t carry = tag;
+    for (std::uint64_t *w = set; w != set + assoc; ++w) {
+        const std::uint64_t cur = *w;
+        *w = carry;
+        if (cur == tag)
             return true;
-        }
-        if (w->stamp < victim->stamp)
-            victim = w;
+        if (cur == 0)
+            return false;
+        carry = cur;
     }
-    victim->tag = tag;
-    victim->stamp = stamp;
     return false;
 }
 
@@ -43,17 +47,20 @@ void
 CacheModel::Level::invalidate(std::uint64_t line)
 {
     const std::uint64_t tag = line + 1;
-    Way *const set = &ways[static_cast<std::size_t>(line & setMask) * assoc];
-    for (Way *w = set; w != set + assoc; ++w) {
-        if (w->tag == tag)
-            *w = Way{};
-    }
+    std::uint64_t *const set =
+        &tags[static_cast<std::size_t>(line & setMask) * assoc];
+    std::uint64_t *const end = set + assoc;
+    std::uint64_t *const w = std::find(set, end, tag);
+    if (w == end)
+        return;
+    std::copy(w + 1, end, w);
+    end[-1] = 0;
 }
 
 void
 CacheModel::Level::clear()
 {
-    std::fill(ways.begin(), ways.end(), Way{});
+    std::fill(tags.begin(), tags.end(), 0);
 }
 
 CacheModel::CacheModel(const MemoryParams &params) : params(params)
@@ -69,13 +76,12 @@ Cycles
 CacheModel::lookupLine(std::uint64_t line)
 {
     lastLine = line;
-    ++stamp;
-    if (l1.lookupInsert(line, stamp)) {
+    if (l1.lookupInsert(line)) {
         l1Hits_.inc();
         return 0;
     }
     l1Misses_.inc();
-    if (l2.lookupInsert(line, stamp)) {
+    if (l2.lookupInsert(line)) {
         l2Hits_.inc();
         return params.l2HitCycles;
     }

@@ -12,13 +12,18 @@
  * dirty-writeback penalty; no MSHR-level concurrency (the modeled
  * processor is in-order single-issue, so misses serialize anyway).
  *
- * Host layout: each set's ways keep {tag, stamp} side by side, and the
- * array is 64-byte aligned, so with a power-of-two associativity a set
- * of up to four ways sits in one host cache line. A repeat of the
- * previous access's line is answered without a tag walk: that line is
- * already its L1 set's most recent way, so refreshing its stamp could
- * not change any LRU decision, and the hit is counted without touching
- * the arrays.
+ * Host layout: each set keeps only its tags, most recently used first,
+ * and the array is 64-byte aligned, so with a power-of-two
+ * associativity a set of up to eight ways sits in one host cache line.
+ * A hit at way k rotates ways [0, k]; a miss shifts the set right and
+ * inserts at way 0, dropping the LRU tag (or an empty one) off the
+ * tail. This is exactly stamp-based LRU: a stamp model evicts the
+ * minimum stamp, and empty or invalidated ways carry stamp 0, so they
+ * fill before any valid line is evicted, and which empty way fills
+ * never changes a later outcome. A repeat of the previous access's line
+ * is answered without a tag walk: that line is already way 0 of its L1
+ * set, so the rotation would be a no-op, and the hit is counted without
+ * touching the arrays.
  */
 
 #ifndef SWSM_MEM_CACHE_MODEL_HH
@@ -74,26 +79,22 @@ class CacheModel
     const Counter &l2Misses() const { return l2Misses_; }
 
   private:
-    /** One way of a set: tag 0 means empty (tags are line+1). */
-    struct Way
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t stamp = 0; ///< LRU stamp of the last touch
-    };
-
-    /** One tag array level. */
+    /** One tag array level; tag 0 means empty (tags are line+1). */
     struct Level
     {
         std::uint64_t setMask = 0;
         std::uint32_t assoc = 0;
-        /** ways[set * assoc + way], 64-byte aligned. */
-        std::vector<Way, AlignedAlloc<Way, 64>> ways;
+        /**
+         * tags[set * assoc + way], each set in MRU order with empty
+         * ways at its tail; 64-byte aligned.
+         */
+        std::vector<std::uint64_t, AlignedAlloc<std::uint64_t, 64>> tags;
 
         void init(std::uint32_t bytes, std::uint32_t assoc_,
                   std::uint32_t line_bytes);
 
         /** @return true on hit; inserts on miss. */
-        bool lookupInsert(std::uint64_t line, std::uint64_t stamp);
+        bool lookupInsert(std::uint64_t line);
         void invalidate(std::uint64_t line);
         void clear();
     };
@@ -118,7 +119,6 @@ class CacheModel
     std::uint32_t lineShift = 0;
     Level l1;
     Level l2;
-    std::uint64_t stamp = 0;
     /** Line of the previous access, or noLine. */
     std::uint64_t lastLine = noLine;
 

@@ -750,7 +750,7 @@ HlrcProtocol::tryGrant(NodeEnv &env, LockId lock)
         return;
 
     Handoff h = std::move(lns.pending.front());
-    lns.pending.pop_front();
+    lns.pending.erase(lns.pending.begin());
     lns.holdsToken = false;
 
     auto &grantor = nodeState(env.node());

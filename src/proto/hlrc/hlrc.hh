@@ -25,7 +25,6 @@
 #define SWSM_PROTO_HLRC_HLRC_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -159,12 +158,17 @@ class HlrcProtocol : public Protocol
         Vc vc;
     };
 
-    /** Per-(lock, node) token state. */
+    /**
+     * Per-(lock, node) token state. The handoff queue is a FIFO popped
+     * from the front; a std::vector allocates nothing until a handoff
+     * waits here (an empty std::deque costs 576 bytes), and it never
+     * holds more than numNodes entries.
+     */
     struct LockNodeState
     {
         bool holdsToken = false;
         bool inCs = false;
-        std::deque<Handoff> pending;
+        std::vector<Handoff> pending;
     };
 
     /** Per-lock manager state (lives at lock % numNodes). */

@@ -120,7 +120,7 @@ IdealProtocol::release(ProcEnv &env, LockId lock)
         return;
     }
     const NodeId next = ls.queue.front();
-    ls.queue.pop_front();
+    ls.queue.erase(ls.queue.begin());
     stats_.lockHandoffs.inc();
     procs[next]->unblock(env.now());
 }

@@ -15,7 +15,6 @@
 #define SWSM_PROTO_IDEAL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -56,7 +55,7 @@ class IdealProtocol : public Protocol
     struct LockState
     {
         bool held = false;
-        std::deque<NodeId> queue;
+        std::vector<NodeId> queue; ///< FIFO, popped from the front
     };
 
     struct BarrierState

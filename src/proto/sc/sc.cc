@@ -13,7 +13,30 @@ namespace swsm
 namespace
 {
 constexpr std::uint32_t smallPayload = 8;
+/** Host bytes per block-arena chunk (at least one block). */
+constexpr std::size_t arenaChunkBytes = 64 * 1024;
 } // namespace
+
+ScProtocol::BlockArena::BlockArena(std::uint32_t block_bytes)
+    : blockBytes_(block_bytes),
+      chunkBytes_(std::max<std::size_t>(arenaChunkBytes, block_bytes))
+{
+}
+
+std::uint8_t *
+ScProtocol::BlockArena::alloc()
+{
+    if (chunks_.empty() || used_ == chunkBytes_) {
+        const std::size_t align = std::max<std::size_t>(blockBytes_, 64);
+        chunks_.emplace_back(static_cast<std::uint8_t *>(::operator new(
+                                 chunkBytes_, std::align_val_t{align})),
+                             Free{align});
+        used_ = 0;
+    }
+    std::uint8_t *slot = chunks_.back().get() + used_;
+    used_ += blockBytes_;
+    return slot;
+}
 
 ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
                        std::vector<ProcEnv *> procs,
@@ -27,6 +50,9 @@ ScProtocol::ScProtocol(AddressSpace &space, const ProtoParams &params,
     if (numNodes > 32)
         SWSM_FATAL("SC directory sharer bitmask supports up to 32 nodes");
     nodeBlocks.resize(numNodes);
+    arenas.reserve(numNodes);
+    for (NodeId n = 0; n < numNodes; ++n)
+        arenas.emplace_back(blockBytes);
     pendingApply.resize(numNodes);
 
     // Block-indexed fast paths, copy-first to match the hit sequence
@@ -126,8 +152,7 @@ ScProtocol::localBytes(NodeId n, GlobalAddr addr)
     const BlockId b = space.blockOf(addr);
     if (space.blockHome(b) == n)
         return space.homeBytes(addr);
-    BlockCopy &bc = blockCopy(n, b);
-    return bc.data.data() + (addr - space.blockBase(b));
+    return blockCopy(n, b).data + (addr - space.blockBase(b));
 }
 
 bool
@@ -207,7 +232,9 @@ ScProtocol::grant(NodeEnv &henv, BlockId b, bool with_data)
                 [this, n, b, base, write,
                  snap = std::move(snap)](Cycles t) {
                     BlockCopy &bc = blockCopy(n, b);
-                    bc.data.assign(snap.begin(), snap.end());
+                    if (!bc.data)
+                        bc.data = arenas[n].alloc();
+                    std::memcpy(bc.data, snap.data(), blockBytes);
                     bc.state = write ? BState::Excl : BState::Shared;
                     procs[n]->invalidateCacheRange(base, blockBytes);
                     runPendingApply(n);
@@ -308,7 +335,7 @@ ScProtocol::finish(NodeEnv &henv, BlockId b)
     d.requester = invalidNode;
     if (!d.waiters.empty()) {
         auto [n, write] = d.waiters.front();
-        d.waiters.pop_front();
+        d.waiters.erase(d.waiters.begin());
         handleRequest(henv, b, n, write);
     }
 }
@@ -667,7 +694,7 @@ ScProtocol::release(ProcEnv &env, LockId lock)
                     return;
                 }
                 const NodeId next = ls.queue.front();
-                ls.queue.pop_front();
+                ls.queue.erase(ls.queue.begin());
                 ls.holder = next;
                 stats_.lockHandoffs.inc();
                 sendDat(henv, next, smallPayload,
@@ -731,8 +758,8 @@ ScProtocol::debugRead(GlobalAddr addr, void *out, std::uint64_t bytes)
         if (excl_remote) {
             const DirEntry &d = dir[b];
             const BlockCopy &bc = blockCopy(d.owner, b);
-            std::memcpy(dst + done,
-                        bc.data.data() + (a - space.blockBase(b)), chunk);
+            std::memcpy(dst + done, bc.data + (a - space.blockBase(b)),
+                        chunk);
         } else {
             std::memcpy(dst + done, space.homeBytes(a), chunk);
         }

@@ -21,8 +21,8 @@
 #define SWSM_PROTO_SC_SC_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "machine/fast_path.hh"
@@ -81,11 +81,47 @@ class ScProtocol : public Protocol
     /** Block access state on one node. */
     enum class BState : std::uint8_t { Invalid, Shared, Excl };
 
-    /** One node's cached copy of one block (homes use the home store). */
+    /**
+     * One node's cached copy of one block (homes use the home store).
+     * @c data is taken from the node's BlockArena on the first fetch
+     * and kept for the run, whatever the state becomes.
+     */
     struct BlockCopy
     {
         BState state = BState::Invalid;
-        std::vector<std::uint8_t> data;
+        std::uint8_t *data = nullptr;
+    };
+
+    /**
+     * Bump allocator for one node's block copies: blockBytes-aligned
+     * slots carved from chunks that never move (fast-path entries
+     * cache the pointers) and are freed only with the protocol. Only
+     * the owning node allocates, so the parallel kernel's partition
+     * rule holds.
+     */
+    class BlockArena
+    {
+      public:
+        explicit BlockArena(std::uint32_t block_bytes);
+
+        /** A fresh, uninitialized block-sized slot. */
+        std::uint8_t *alloc();
+
+      private:
+        struct Free
+        {
+            std::size_t align;
+            void
+            operator()(std::uint8_t *p) const
+            {
+                ::operator delete(p, std::align_val_t{align});
+            }
+        };
+
+        std::size_t blockBytes_;
+        std::size_t chunkBytes_;
+        std::vector<std::unique_ptr<std::uint8_t[], Free>> chunks_;
+        std::size_t used_ = 0;
     };
 
     /** Directory entry at a block's home. */
@@ -100,7 +136,8 @@ class ScProtocol : public Protocol
         int pendingAcks = 0;
         NodeId requester = invalidNode;
         bool reqWrite = false;
-        std::deque<std::pair<NodeId, bool>> waiters;
+        /** FIFO of racing requests; allocates only once one waits. */
+        std::vector<std::pair<NodeId, bool>> waiters;
     };
 
     /** Per-lock manager state (centralized FIFO queue lock). */
@@ -108,7 +145,7 @@ class ScProtocol : public Protocol
     {
         bool held = false;
         NodeId holder = invalidNode;
-        std::deque<NodeId> queue;
+        std::vector<NodeId> queue; ///< FIFO, popped from the front
     };
 
     /** Per-barrier manager state (centralized counter). */
@@ -199,6 +236,8 @@ class ScProtocol : public Protocol
     int partitions_ = 1;
 
     std::vector<std::vector<BlockCopy>> nodeBlocks;
+    /** Per-node storage behind BlockCopy::data. */
+    std::vector<BlockArena> arenas;
     std::vector<DirEntry> dir;
     /** One outstanding install-time access per (blocking) processor. */
     std::vector<std::function<void()>> pendingApply;

@@ -371,8 +371,16 @@ PdesEngine::run()
     }
 
     for (const Partition &part : parts_) {
-        if (part.error)
-            std::rethrow_exception(part.error);
+        if (!part.error)
+            continue;
+        // A failed run can stop with mail still in flight; hand it back
+        // with the heaps so every unrun event stays pending.
+        for (std::vector<Mail> &box : boxes_) {
+            for (Mail &m : box)
+                eq_.heap.push(m.when, m.stamp, m.execSlot, std::move(m.fn));
+            box.clear();
+        }
+        std::rethrow_exception(part.error);
     }
     return executed;
 }

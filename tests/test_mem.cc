@@ -140,6 +140,77 @@ TEST(CacheModel, StreamFitsInL2ButNotL1)
     EXPECT_EQ(c.accessRange(0, 4096, false), 128 * p.l2HitCycles);
 }
 
+/**
+ * Fill one L1 set of a cache with @p l1_assoc ways, invalidate the line
+ * at MRU position @p pos (0 = most recent), then miss with a fresh line
+ * mapping to the same set: the miss must fill the hole, so every other
+ * line still hits L1 and only the invalidated one goes to memory. With
+ * @p hit_first the surviving lines are touched (and must hit) between
+ * the invalidation and the miss.
+ */
+void
+expectMissFillsInvalidatedWay(std::uint32_t l1_assoc, std::uint32_t pos,
+                              bool hit_first)
+{
+    MemoryParams p = smallParams();
+    p.l1Assoc = l1_assoc;
+    CacheModel c(p);
+    const std::uint64_t stride = p.l1Bytes / p.l1Assoc; // same L1 set
+    for (std::uint32_t w = 0; w < l1_assoc; ++w)
+        ASSERT_EQ(c.access(w * stride, false), p.memCycles);
+    // Filled in order, so way w sits at MRU position assoc-1-w.
+    const std::uint64_t gone = (l1_assoc - 1 - pos) * stride;
+    c.invalidateRange(gone, p.lineBytes);
+    auto expect_survivors_hit = [&] {
+        for (std::uint32_t w = 0; w < l1_assoc; ++w) {
+            if (w * stride == gone)
+                continue;
+            EXPECT_EQ(c.access(w * stride, false), 0u)
+                << "way " << w << " assoc " << l1_assoc << " pos " << pos;
+        }
+    };
+    if (hit_first)
+        expect_survivors_hit();
+    const std::uint64_t fresh = l1_assoc * stride;
+    EXPECT_EQ(c.access(fresh, false), p.memCycles);
+    const std::uint64_t l1_misses = c.l1Misses().value();
+    expect_survivors_hit();
+    EXPECT_EQ(c.access(fresh, true), 0u);
+    EXPECT_EQ(c.l1Misses().value(), l1_misses);
+    // The invalidated line left both levels.
+    EXPECT_EQ(c.access(gone, false), p.memCycles);
+}
+
+TEST(CacheModel, MissFillsAnInvalidatedMruWay)
+{
+    for (bool hit_first : {false, true}) {
+        for (std::uint32_t assoc : {1u, 2u, 8u})
+            expectMissFillsInvalidatedWay(assoc, 0, hit_first);
+    }
+}
+
+TEST(CacheModel, MissFillsAnInvalidatedMiddleOrLruWay)
+{
+    for (bool hit_first : {false, true}) {
+        expectMissFillsInvalidatedWay(2, 1, hit_first);
+        for (std::uint32_t pos : {1u, 3u, 4u, 7u})
+            expectMissFillsInvalidatedWay(8, pos, hit_first);
+    }
+}
+
+TEST(CacheModel, InvalidatingAnAbsentLineKeepsTheSet)
+{
+    MemoryParams p = smallParams();
+    p.l1Assoc = 8;
+    CacheModel c(p);
+    const std::uint64_t stride = p.l1Bytes / p.l1Assoc;
+    for (std::uint32_t w = 0; w < 8; ++w)
+        c.access(w * stride, false);
+    c.invalidateRange(8 * stride, p.lineBytes); // same set, not cached
+    for (std::uint32_t w = 0; w < 8; ++w)
+        EXPECT_EQ(c.access(w * stride, false), 0u) << "way " << w;
+}
+
 // ------------------------------------------------------ Oracle model
 
 /**

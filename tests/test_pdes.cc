@@ -385,10 +385,13 @@ TEST(PdesHandOff, EventsLeftByAFailedRunAreHandedBackAndDestroyedOnce)
         {
             PdesEngine engine(eq, {0, 1, 0, 1}, 2, /*lookahead=*/10);
             EXPECT_THROW(engine.run(), std::runtime_error);
+            // The unfinished heap events and the mail still in flight
+            // when the run stopped all went back to the serial queue,
+            // each holding exactly one reference: the engine keeps none.
+            EXPECT_GT(eq.pending(), 0u);
+            EXPECT_EQ(token.use_count(),
+                      1 + static_cast<long>(eq.pending()));
         }
-        // The unfinished heap events went back to the serial queue and
-        // each still holds exactly one reference; mail still in flight
-        // when the run stopped died with the engine.
         EXPECT_GT(eq.pending(), 0u);
         EXPECT_EQ(token.use_count(),
                   1 + static_cast<long>(eq.pending()));

@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "machine/cluster.hh"
 #include "machine/shared_array.hh"
 #include "machine/thread.hh"
@@ -575,6 +582,86 @@ TEST(Ideal, UniprocessorRunsSequentially)
         EXPECT_EQ(a.peek(c, i), 2u * i);
     EXPECT_EQ(c.stats().netMessages, 0u);
 }
+
+// ------------------------------------------------- All protocols
+
+const ProtocolKind allKinds[] = {ProtocolKind::Hlrc, ProtocolKind::Sc,
+                                 ProtocolKind::Ideal};
+
+TEST(LockOrder, ContendersAreGrantedInArrivalOrder)
+{
+    // Node 0 takes the lock at once and holds it; nodes 1-4 ask at
+    // distinct times while it is held, so all four queue, arriving in
+    // the order 3, 1, 4, 2. The hand-offs must follow that order.
+    static constexpr Cycles askAt[] = {0, 20000, 40000, 10000, 30000};
+    for (ProtocolKind kind : allKinds) {
+        Cluster c(machine(kind, 5));
+        const LockId lock = c.allocLock();
+        const BarrierId bar = c.allocBarrier();
+        std::vector<Cycles> granted(5);
+        c.run([&](Thread &t) {
+            t.compute(askAt[t.id()]);
+            t.acquire(lock);
+            granted[t.id()] = t.now();
+            t.compute(t.id() == 0 ? 100000 : 1000);
+            t.release(lock);
+            t.barrier(bar);
+        });
+        std::vector<int> order{0, 1, 2, 3, 4};
+        std::sort(order.begin(), order.end(), [&](int a, int b) {
+            return granted[a] < granted[b];
+        });
+        EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 4, 2}))
+            << protocolKindName(kind);
+        EXPECT_GT(granted[3], askAt[2]) << "all four must have queued";
+    }
+}
+
+#ifdef __GLIBC__
+/**
+ * Heap bytes still in use, with the cluster alive, after a 16-node run
+ * that declares @p num_locks locks; node n takes each lock l with
+ * l % 16 == n once, uncontended, so every lock's state exists.
+ */
+long
+heapAfterRunWithLocks(ProtocolKind kind, int num_locks)
+{
+    constexpr int procs = 16;
+    const std::size_t before = mallinfo2().uordblks;
+    Cluster c(machine(kind, procs));
+    for (int l = 0; l < num_locks; ++l)
+        c.allocLock();
+    const BarrierId bar = c.allocBarrier();
+    c.run([&](Thread &t) {
+        for (LockId l = t.id(); l < num_locks; l += procs) {
+            t.acquire(l);
+            t.release(l);
+        }
+        t.barrier(bar);
+    });
+    return static_cast<long>(mallinfo2().uordblks) -
+           static_cast<long>(before);
+}
+
+TEST(LockMemory, DeclaredLocksCostLittleUntilUsed)
+{
+    // Barnes declares ~50k locks and contends on few of them; per-lock
+    // state that allocates while idle multiplies into hundreds of MiB
+    // per run.
+    constexpr int few = 64, many = few + 4096;
+    for (ProtocolKind kind : allKinds) {
+        heapAfterRunWithLocks(kind, few); // warm one-time allocations
+        const long base = heapAfterRunWithLocks(kind, few);
+        if (base <= 0)
+            GTEST_SKIP() << "malloc statistics unavailable "
+                            "(replaced allocator)";
+        const long per_lock =
+            (heapAfterRunWithLocks(kind, many) - base) / (many - few);
+        const long bound = kind == ProtocolKind::Hlrc ? 1024 : 128;
+        EXPECT_LT(per_lock, bound) << protocolKindName(kind);
+    }
+}
+#endif
 
 } // namespace
 } // namespace swsm
